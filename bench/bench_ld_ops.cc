@@ -4,11 +4,19 @@
 // *CPU* cost of LLD's in-memory work (block-map updates, list maintenance,
 // summary logging, segment assembly) on a zero-latency MemDisk, which is
 // what a host would pay per operation on top of the I/O.
+//
+// BM_Memcpy_4K is the in-binary calibration: host cost checks compare other
+// rows to it as a ratio (e.g. CRC of 4 KB against a 4-KB copy), which holds
+// across hosts of different speed.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/util/crc32.h"
+#include "src/util/random.h"
 
 namespace ld {
 namespace {
@@ -26,6 +34,36 @@ struct Rig {
     list = *lld->NewList(kBeginOfListOfLists, ListHints{});
   }
 };
+
+std::vector<uint8_t> RandomPage() {
+  std::vector<uint8_t> page(4096);
+  Rng rng(1);
+  for (auto& b : page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return page;
+}
+
+void BM_Crc32_4K(benchmark::State& state) {
+  const std::vector<uint8_t> page = RandomPage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Crc32_4K);
+
+void BM_Memcpy_4K(benchmark::State& state) {
+  const std::vector<uint8_t> page = RandomPage();
+  std::vector<uint8_t> copy(page.size());
+  for (auto _ : state) {
+    std::memcpy(copy.data(), page.data(), page.size());
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Memcpy_4K);
 
 void BM_NewDeleteBlock(benchmark::State& state) {
   Rig rig;

@@ -326,7 +326,7 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
   for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
     const SegmentUsage& u = usage_->segment(s);
     enc.PutU8(static_cast<uint8_t>(u.state));
-    enc.PutU32(u.live_bytes);
+    enc.PutU32(u.live_bytes());
     enc.PutU64(u.newest_ts);
     enc.PutU64(u.seq);
     enc.PutU8(u.has_parity ? 1 : 0);
@@ -416,7 +416,7 @@ Status LogStructuredDisk::DecodeBasePayload(std::span<const uint8_t> payload) {
   for (uint32_t s = 0; s < seg_count; ++s) {
     SegmentUsage& u = usage_->segment(s);
     u.state = static_cast<SegmentState>(dec.GetU8());
-    u.live_bytes = dec.GetU32();
+    usage_->SetLive(s, dec.GetU32());
     u.newest_ts = dec.GetU64();
     u.seq = dec.GetU64();
     u.has_parity = dec.GetU8() != 0;
@@ -1676,7 +1676,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       }
       SegmentUsage& u = usage_->segment(p);
       u.state = SegmentState::kParity;
-      u.live_bytes = 0;
+      usage_->SetLive(p, 0);
       u.newest_ts = 0;
       u.age_ts = 0;
       u.cold = false;

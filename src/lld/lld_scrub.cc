@@ -394,7 +394,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       }
       SegmentUsage& u = usage_->segment(seg);
       u.state = SegmentState::kFree;
-      u.live_bytes = 0;
+      usage_->SetLive(seg, 0);
       u.newest_ts = 0;
       u.age_ts = 0;
       u.cold = false;

@@ -21,9 +21,20 @@ enum class SegmentState : uint8_t {
   kParity,      // Holds a stripe-set parity image: not a victim, not free.
 };
 
-struct SegmentUsage {
+class SegmentUsage {
+ public:
+  // Live bytes in the segment. Only UsageTable writes the count, so it can
+  // keep the table-wide total in step.
+  uint32_t live_bytes() const { return live_bytes_; }
+
   SegmentState state = SegmentState::kFree;
-  uint32_t live_bytes = 0;
+
+ private:
+  // Declared right after `state` so it fills the padding before newest_ts.
+  friend class UsageTable;
+  uint32_t live_bytes_ = 0;
+
+ public:
   OpTimestamp newest_ts = 0;  // Newest block timestamp written into it.
   uint64_t seq = 0;           // Sequence number of the summary written there.
 
@@ -95,9 +106,13 @@ class UsageTable {
   // orders record authority) while age_ts only absorbs the preserved age.
   void AddLiveAged(uint32_t index, uint32_t bytes, OpTimestamp relog_ts, OpTimestamp age);
   void RemoveLive(uint32_t index, uint32_t bytes);
+  // Overwrites a segment's count: victim reset, checkpoint decode, parity
+  // claim, scrub retirement.
+  void SetLive(uint32_t index, uint32_t bytes) { StoreLive(segments_[index], bytes); }
 
   uint32_t FreeCount() const;
-  uint64_t TotalLiveBytes() const;
+  // Sum of every segment's live bytes, kept as a running total.
+  uint64_t TotalLiveBytes() const { return total_live_bytes_; }
 
   // Lowest-live-bytes kFull segment, or -1 if none.
   int64_t PickGreedy() const;
@@ -146,7 +161,15 @@ class UsageTable {
   uint64_t MemoryBytes() const { return segments_.capacity() * sizeof(SegmentUsage); }
 
  private:
+  // Every live-byte store goes through here. Adjusting the total by the old
+  // and new counts keeps it equal to a recount even if a count wraps.
+  void StoreLive(SegmentUsage& s, uint32_t bytes) {
+    total_live_bytes_ = total_live_bytes_ - s.live_bytes_ + bytes;
+    s.live_bytes_ = bytes;
+  }
+
   std::vector<SegmentUsage> segments_;
+  uint64_t total_live_bytes_ = 0;
   const std::vector<uint8_t>* alloc_mask_ = nullptr;
   const std::vector<uint8_t>* victim_mask_ = nullptr;
 };

@@ -1,5 +1,7 @@
 // CRC-32 (IEEE 802.3 polynomial) for validating on-disk structures: segment
-// summaries, checkpoint regions, and superblocks.
+// summaries, checkpoint regions, and superblocks, and for block payloads.
+// Values match the byte-at-a-time definition exactly; the kernel that
+// computes them (crc32_internal.h) is chosen once per process from the CPU.
 
 #ifndef SRC_UTIL_CRC32_H_
 #define SRC_UTIL_CRC32_H_

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/disk/mem_disk.h"
 #include "src/lld/block_map.h"
 #include "src/lld/list_table.h"
+#include "src/lld/lld.h"
 #include "src/lld/summary_record.h"
 #include "src/lld/usage_table.h"
 #include "src/util/random.h"
@@ -390,6 +392,97 @@ TEST(UsageTableTest, PicksSkipNonFullStates) {
   EXPECT_EQ(table.PickGreedy(), -1);
   EXPECT_EQ(table.PickCostBenefit(4096, 10), -1);
   EXPECT_EQ(table.PickFree(), 2);
+}
+
+uint64_t RecountLiveBytes(const UsageTable& table) {
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < table.num_segments(); ++i) {
+    total += table.segment(i).live_bytes();
+  }
+  return total;
+}
+
+TEST(UsageTableTest, RunningTotalMatchesRecountUnderRandomUpdates) {
+  constexpr uint32_t kSegs = 16;
+  UsageTable table(kSegs);
+  Rng rng(42);
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t seg = static_cast<uint32_t>(rng.Below(kSegs));
+    const uint32_t live = table.segment(seg).live_bytes();
+    switch (rng.Below(5)) {
+      case 0:
+        table.AddLive(seg, static_cast<uint32_t>(rng.Below(8192)), step);
+        break;
+      case 1:
+        table.AddLiveAged(seg, static_cast<uint32_t>(rng.Below(8192)), step, rng.Below(step + 1));
+        break;
+      case 2:
+        table.RemoveLive(seg, static_cast<uint32_t>(rng.Below(uint64_t{live} + 1)));
+        break;
+      case 3:
+        table.SetLive(seg, rng.Chance(0.5) ? 0 : static_cast<uint32_t>(rng.Below(1 << 20)));
+        break;
+      default:
+        if (rng.Chance(0.01)) {
+          table.Reset();
+        }
+        break;
+    }
+    ASSERT_EQ(table.TotalLiveBytes(), RecountLiveBytes(table)) << "step " << step;
+  }
+}
+
+// The running total must survive every path that rewrites segment counts
+// wholesale inside LLD: cleaner victim resets and checkpoint decode on Open
+// (both the clean-shutdown load and the crash-time chain replay).
+TEST(UsageTableTest, RunningTotalMatchesRecountAfterCleaningAndCheckpointOpen) {
+  SimClock clock;
+  MemDisk disk((64ull << 20) / 512, 512, &clock);
+  LldOptions options;
+  options.segment_bytes = 128 * 1024;
+  options.summary_bytes = 8192;
+  options.checkpoint_interval_segments = 2;
+  std::vector<uint8_t> data(4096);
+  {
+    auto lld = LogStructuredDisk::Format(&disk, options);
+    ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+    auto list = (*lld)->NewList(kBeginOfListOfLists, ListHints{});
+    ASSERT_TRUE(list.ok());
+    std::vector<Bid> bids;
+    Bid pred = kBeginOfList;
+    for (uint32_t i = 0; i < 300; ++i) {
+      auto bid = (*lld)->NewBlock(*list, pred);
+      ASSERT_TRUE(bid.ok());
+      data[0] = static_cast<uint8_t>(i);
+      ASSERT_TRUE((*lld)->Write(*bid, data).ok());
+      bids.push_back(*bid);
+      pred = *bid;
+    }
+    // Kill two thirds of the blocks so the victims carry some live data.
+    for (size_t i = 0; i < bids.size(); ++i) {
+      if (i % 3 != 0) {
+        ASSERT_TRUE((*lld)->DeleteBlock(bids[i], *list, kNilBid).ok());
+      }
+    }
+    ASSERT_TRUE((*lld)->Flush().ok());
+    ASSERT_TRUE((*lld)->CleanSegments((*lld)->num_segments()).ok());
+    ASSERT_GT((*lld)->counters().segments_cleaned, 0u);
+    EXPECT_EQ((*lld)->usage_table().TotalLiveBytes(), RecountLiveBytes((*lld)->usage_table()));
+    ASSERT_TRUE((*lld)->Flush().ok());
+    // Crash: abandon without Shutdown, so Open replays the checkpoint chain.
+  }
+  {
+    auto lld = LogStructuredDisk::Open(&disk, options);
+    ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+    EXPECT_EQ((*lld)->last_recovery().mode, RecoveryMode::kCheckpointChain);
+    EXPECT_EQ((*lld)->usage_table().TotalLiveBytes(), RecountLiveBytes((*lld)->usage_table()));
+    ASSERT_TRUE((*lld)->Shutdown().ok());
+  }
+  auto lld = LogStructuredDisk::Open(&disk, options);
+  ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+  EXPECT_EQ((*lld)->last_recovery().mode, RecoveryMode::kCheckpointClean);
+  EXPECT_GT((*lld)->usage_table().TotalLiveBytes(), 0u);
+  EXPECT_EQ((*lld)->usage_table().TotalLiveBytes(), RecountLiveBytes((*lld)->usage_table()));
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "src/lld/summary_record.h"
 #include "src/util/crc32.h"
+#include "src/util/crc32_internal.h"
 #include "src/util/random.h"
 #include "src/util/serialize.h"
 #include "src/util/stats.h"
@@ -144,6 +149,123 @@ TEST(Crc32Test, DetectsBitFlip) {
   const uint32_t before = Crc32(data);
   data[17] ^= 0x01;
   EXPECT_NE(before, Crc32(data));
+}
+
+// ---- CRC kernels against the byte-at-a-time definition ------------------------
+
+using Crc32Kernel = uint32_t (*)(uint32_t, std::span<const uint8_t>);
+
+// The original table-driven byte loop: the reference both kernels must match.
+uint32_t ReferenceCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xffu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+constexpr size_t kMaxCrcLength = 4200;
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> data(n);
+  Rng rng(seed);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return data;
+}
+
+// Every length 0..kMaxCrcLength at alignment 0. At alignments 1..15: every
+// length up to 256, then the neighbours of each 16-byte fold boundary
+// (which include the 64-byte ones).
+void ExpectKernelMatchesReference(Crc32Kernel kernel) {
+  const std::vector<uint8_t> data = RandomBytes(kMaxCrcLength + 16, 7);
+  for (size_t align = 0; align < 16; ++align) {
+    const std::span<const uint8_t> base = std::span<const uint8_t>(data).subspan(align);
+    uint32_t expected = Crc32Init();
+    for (size_t n = 0; n <= kMaxCrcLength; ++n) {
+      if (n > 0) {
+        expected = ReferenceCrc32Update(expected, base.subspan(n - 1, 1));
+      }
+      const size_t to_boundary = n % 16;
+      if (align != 0 && n > 256 && to_boundary != 0 && to_boundary != 1 && to_boundary != 15) {
+        continue;
+      }
+      ASSERT_EQ(kernel(Crc32Init(), base.first(n)), expected)
+          << "length " << n << " alignment " << align;
+    }
+  }
+}
+
+// Splits a 4-KB buffer at random points; the first part goes through
+// `first`, the rest through `second`, chaining the raw register.
+void ExpectChainedSplitsMatch(Crc32Kernel first, Crc32Kernel second) {
+  const std::vector<uint8_t> data = RandomBytes(4096, 11);
+  const std::span<const uint8_t> all(data);
+  const uint32_t expected = ReferenceCrc32Update(Crc32Init(), all);
+  Rng rng(5);
+  for (int i = 0; i < 100; ++i) {
+    const size_t split = rng.Below(all.size() + 1);
+    const uint32_t head = first(Crc32Init(), all.first(split));
+    ASSERT_EQ(second(head, all.subspan(split)), expected) << "split at " << split;
+  }
+}
+
+TEST(Crc32KernelTest, Slicing8MatchesByteLoop) {
+  ExpectKernelMatchesReference(crc32_internal::UpdateSlicing8);
+  ExpectChainedSplitsMatch(crc32_internal::UpdateSlicing8, crc32_internal::UpdateSlicing8);
+}
+
+TEST(Crc32KernelTest, ClmulMatchesByteLoop) {
+  if (!crc32_internal::ClmulSupported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  }
+#if defined(__x86_64__)
+  ExpectKernelMatchesReference(crc32_internal::UpdateClmul);
+  ExpectChainedSplitsMatch(crc32_internal::UpdateClmul, crc32_internal::UpdateClmul);
+#endif
+}
+
+TEST(Crc32KernelTest, KernelsChainIntoEachOther) {
+  if (!crc32_internal::ClmulSupported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  }
+#if defined(__x86_64__)
+  ExpectChainedSplitsMatch(crc32_internal::UpdateClmul, crc32_internal::UpdateSlicing8);
+  ExpectChainedSplitsMatch(crc32_internal::UpdateSlicing8, crc32_internal::UpdateClmul);
+#endif
+}
+
+TEST(Crc32KernelTest, DispatchedUpdateMatchesByteLoop) {
+  const std::vector<uint8_t> data = RandomBytes(kMaxCrcLength, 13);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{4096},
+                   kMaxCrcLength}) {
+    const auto part = std::span<const uint8_t>(data).first(n);
+    EXPECT_EQ(Crc32Update(Crc32Init(), part), ReferenceCrc32Update(Crc32Init(), part))
+        << "length " << n;
+  }
+}
+
+// The 24-bit payload checksums stored in summary records, pinned so that any
+// change in CRC output (and therefore in the on-disk format) fails here.
+TEST(Crc32KernelTest, PayloadCrcGoldenValues) {
+  const std::vector<uint8_t> zeros(4096, 0);
+  EXPECT_EQ(Crc32(zeros), 0xc71c0011u);
+  EXPECT_EQ(PayloadCrc(zeros), 0x1c0011u);
+
+  const std::vector<uint8_t> seeded = RandomBytes(4096, 1993);
+  EXPECT_EQ(Crc32(seeded), 0x1cebf493u);
+  EXPECT_EQ(PayloadCrc(seeded), 0xebf493u);
 }
 
 TEST(RngTest, DeterministicForSeed) {
