@@ -7,10 +7,12 @@
 //
 // BM_Memcpy_4K is the in-binary calibration: host cost checks compare other
 // rows to it as a ratio (e.g. CRC of 4 KB against a 4-KB copy), which holds
-// across hosts of different speed.
+// across hosts of different speed. BM_CleanRound times whole cleaning
+// rounds on an aged volume.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 
 #include "src/disk/mem_disk.h"
@@ -146,6 +148,50 @@ void BM_DeleteBlockWithHint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeleteBlockWithHint);
+
+// Host cost of a cleaning round, reported as ns_per_segment (host ns per
+// segment cleaned). A 64-MB volume is aged to ~80 % live with 90/10-skewed
+// 4-KB overwrites, the hotcold benchmark's shape; each iteration overwrites
+// more blocks untimed, then times one explicit CleanSegments round.
+void BM_CleanRound(benchmark::State& state) {
+  SimClock clock;
+  MemDisk disk((64ull << 20) / 512, 512, &clock);
+  LldOptions options;
+  auto lld = *LogStructuredDisk::Format(&disk, options);
+  const Lid list = *lld->NewList(kBeginOfListOfLists, ListHints{});
+  const uint64_t blocks = (64ull << 20) / 4096 * 8 / 10;
+  const uint64_t hot = blocks / 10;
+  std::vector<uint8_t> data(4096, 0x5a);
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint64_t i = 0; i < blocks; ++i) {
+    pred = *lld->NewBlock(list, pred);
+    (void)lld->Write(pred, data);
+    bids.push_back(pred);
+  }
+  Rng rng(3);
+  const auto churn = [&](uint64_t writes) {
+    for (uint64_t w = 0; w < writes; ++w) {
+      const uint64_t pick = rng.Chance(0.9) ? rng.Below(hot) : hot + rng.Below(blocks - hot);
+      (void)lld->Write(bids[pick], data);
+    }
+  };
+  churn(2 * blocks);
+  double ns = 0;
+  uint64_t segments = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    churn(512);
+    const uint64_t before = lld->counters().segments_cleaned;
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(lld->CleanSegments(options.segments_per_clean));
+    ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
+    segments += lld->counters().segments_cleaned - before;
+  }
+  state.counters["ns_per_segment"] = segments == 0 ? 0.0 : ns / static_cast<double>(segments);
+}
+BENCHMARK(BM_CleanRound)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ld

@@ -1636,6 +1636,7 @@ MemoryFootprint LogStructuredDisk::MeasureMemory() const {
   fp.list_table_bytes = list_table_.MemoryBytes();
   fp.usage_table_bytes = usage_->MemoryBytes();
   fp.open_segment_bytes = open_buffer_.capacity();
+  fp.cleaner_buffer_bytes = cleaner_.Bytes();
   for (const PendingFrameSegment& p : ckpt_pending_) {
     fp.checkpoint_pending_bytes += sizeof(PendingFrameSegment) +
                                    p.records.capacity() * sizeof(SummaryRecord);

@@ -31,8 +31,10 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/disk/block_device.h"
@@ -99,6 +101,12 @@ struct MemoryFootprint {
   // Captured summary records awaiting the next incremental checkpoint frame
   // (zero with checkpoint_interval_segments == 0).
   uint64_t checkpoint_pending_bytes = 0;
+  // Cleaner buffers retained between rounds: the victim-read arena, the
+  // writer's segment image, the round's block and record vectors and the
+  // list-order index (8 B per bid). This is the cleaner's working memory,
+  // not metadata, so it is not part of Total(), the Table 2
+  // metadata-plus-open-segment figure.
+  uint64_t cleaner_buffer_bytes = 0;
   uint64_t Total() const {
     return block_map_bytes + list_table_bytes + usage_table_bytes + open_segment_bytes +
            checkpoint_pending_bytes;
@@ -538,7 +546,11 @@ class LogStructuredDisk : public LogicalDisk {
   // ---- Cleaner (lld_cleaner.cc) --------------------------------------------
   struct CleanedBlock {
     Bid bid = kNilBid;
-    std::vector<uint8_t> stored;
+    // The stored bytes, never owned by the block: for the cleaner they sit
+    // in the victim arena (straight from the victim's data-area read), for
+    // scrub and the reorganizers in CleanerBatch::arena. WriteCleanerBatch
+    // copies them once, into the segment image.
+    std::span<uint8_t> stored;
     uint32_t orig_size = 0;
     bool compressed = false;
     // Non-zero when the source record belongs to a still-open ARU: the
@@ -559,29 +571,73 @@ class LogStructuredDisk : public LogicalDisk {
   struct CleanerBatch {
     std::vector<CleanedBlock> blocks;
     std::vector<SummaryRecord> records;
+    // Bytes of the blocks read one by one (scrub, RearrangeHotBlocks,
+    // ReorganizeLists); the cleaner's blocks point into the victim arena.
+    std::vector<uint8_t> arena;
   };
   // A victim's data-area read, deferred so the reads of a whole cleaning
   // round can go to the device as one async batch (they overlap across
-  // channels instead of serializing). `slices` records which harvested
-  // blocks carve their bytes out of `data` once the read completes.
+  // channels instead of serializing). The area lands at `arena_offset` in
+  // the victim arena; `slices` say which harvested blocks point into it.
   struct VictimDataRead {
     uint32_t victim = 0;
-    std::vector<uint8_t> data;  // Sector-rounded used data area.
+    uint64_t arena_offset = 0;
+    uint64_t bytes = 0;  // Sector-rounded used data area.
     struct Slice {
       size_t block_index = 0;  // Into CleanerBatch::blocks.
-      uint32_t offset = 0;     // Byte offset of the block in `data`.
+      uint32_t offset = 0;     // Byte offset of the block in the data area.
+      uint32_t size = 0;       // Stored bytes.
     };
     std::vector<Slice> slices;
   };
-  // Decodes a victim's summary and appends its live blocks (bytes pending in
-  // `*pending` until the batched read completes) and records to `batch`.
+  // Decodes a victim's summary and appends its live blocks (their bytes
+  // described by `*pending` until the batched read completes) and records
+  // to `batch`.
   Status HarvestVictim(uint32_t victim, CleanerBatch* batch, VictimDataRead* pending,
                        uint32_t* ext_live);
+  // Fills an empty `batch` with on-disk blocks `bids`, reading their stored
+  // bytes in order into batch->arena (RearrangeHotBlocks, ReorganizeLists).
+  Status ReadIntoBatch(const std::vector<Bid>& bids, CleanerBatch* batch);
   // Sorts blocks into list order for cluster-on-clean.
   void OrderByLists(std::vector<CleanedBlock>* blocks);
   // Writes a batch into fresh segments through a dedicated writer (so victims
   // are only freed once their copies are durable).
-  Status WriteCleanerBatch(CleanerBatch batch);
+  Status WriteCleanerBatch(const CleanerBatch& batch);
+
+  // Buffers that outlive a cleaning round, so a round allocates nothing in
+  // proportion to the bytes it moves. Each only grows, to the largest round
+  // seen; MeasureMemory reports them as cleaner_buffer_bytes.
+  struct ListOrderSlot {
+    uint32_t gen = 0;
+    uint32_t pos = 0;
+  };
+  struct CleanerBuffers {
+    // Every victim's data-area read, back to back; the round's blocks
+    // point into it.
+    std::vector<uint8_t> victim_arena;
+    // CleanSegments' batch, emptied (not freed) at the start of a round.
+    CleanerBatch batch;
+    // WriteCleanerBatch's segment image and its summary records. The image
+    // is all zeros between images except two extents, which the writer
+    // zeroes before it builds the next image: bytes from offset 0 (data,
+    // padding, parity) and record bytes spilled to the end of the data area.
+    std::vector<uint8_t> image;
+    uint32_t image_head = 0;
+    uint32_t image_spill = 0;
+    std::vector<SummaryRecord> image_records;
+    // OrderByLists' dense index: a block's position in its list, valid only
+    // while its stamp equals `order_gen` (one stamp per call, so nothing is
+    // cleared or hashed between calls); a lid-indexed "walked" stamp; and
+    // the sort keys and permuted blocks.
+    std::vector<ListOrderSlot> list_order;
+    std::vector<uint32_t> list_walked;
+    uint32_t order_gen = 0;
+    std::vector<std::pair<uint64_t, uint32_t>> order_keys;
+    std::vector<CleanedBlock> order_out;
+
+    uint64_t Bytes() const;
+  };
+  CleanerBuffers cleaner_;
 
   // ---- Recovery & checkpoint (lld_recovery.cc) ------------------------------
   // Rebuilds the in-memory state on Open: checkpoint chain when one is

@@ -109,13 +109,12 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   if (!live.empty()) {
     // One read of the used data area covers every live block; the read is
     // *deferred* into `pending` so the caller can submit all victims' reads
-    // as one async batch (they overlap across channels), then slice the
-    // blocks out once the batch completes.
-    const uint64_t data_len = std::min<uint64_t>(
+    // as one async batch (they overlap across channels), and the blocks
+    // point into the read bytes instead of copying them out.
+    pending->victim = victim;
+    pending->bytes = std::min<uint64_t>(
         (static_cast<uint64_t>(header.data_bytes) + sector - 1) / sector * sector,
         data_capacity_);
-    pending->victim = victim;
-    pending->data.resize(data_len);
     for (const SummaryRecord* r : live) {
       // ARU hygiene: an entry written inside a still-open unit keeps its
       // tag (committing it here would smuggle uncommitted data into the
@@ -134,10 +133,9 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       // launder any corruption picked up since the block was written.
       b.payload_crc = r->payload_crc;
       b.has_payload_crc = r->has_payload_crc;
-      b.stored.resize(r->stored_size);
-      counters_.cleaner_bytes_copied += b.stored.size();
-      pending->slices.push_back({batch->blocks.size(), r->offset});
-      batch->blocks.push_back(std::move(b));
+      counters_.cleaner_bytes_copied += r->stored_size;
+      pending->slices.push_back({batch->blocks.size(), r->offset, r->stored_size});
+      batch->blocks.push_back(b);
     }
     counters_.blocks_cleaned += live.size();
   }
@@ -268,44 +266,74 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   return OkStatus();
 }
 
+uint64_t LogStructuredDisk::CleanerBuffers::Bytes() const {
+  return victim_arena.capacity() + batch.blocks.capacity() * sizeof(CleanedBlock) +
+         batch.records.capacity() * sizeof(SummaryRecord) + image.capacity() +
+         image_records.capacity() * sizeof(SummaryRecord) +
+         list_order.capacity() * sizeof(ListOrderSlot) + list_walked.capacity() * sizeof(uint32_t) +
+         order_keys.capacity() * sizeof(order_keys[0]) +
+         order_out.capacity() * sizeof(CleanedBlock);
+}
+
 void LogStructuredDisk::OrderByLists(std::vector<CleanedBlock>* blocks) {
   if (!options_.cluster_on_clean || !options_.maintain_lists) {
     return;
   }
-  // Build a position index for every list that owns a block being moved,
-  // then sort by (list, position) to restore sequential read order.
-  std::unordered_map<Bid, uint64_t> position;
-  std::unordered_set<Lid> walked;
+  // Walk every list that owns a block being moved, once, recording each
+  // list block's position in the dense index; then sort by (list, position)
+  // to restore sequential read order. A block its list walk did not reach
+  // sorts last within its list.
+  CleanerBuffers& c = cleaner_;
+  if (++c.order_gen == 0) {
+    // The stamp wrapped: old stamps could alias the new one.
+    std::fill(c.list_order.begin(), c.list_order.end(), ListOrderSlot{});
+    std::fill(c.list_walked.begin(), c.list_walked.end(), 0);
+    c.order_gen = 1;
+  }
+  const uint32_t gen = c.order_gen;
+  if (c.list_order.size() <= block_map_.max_bid()) {
+    c.list_order.resize(static_cast<size_t>(block_map_.max_bid()) + 1);
+  }
+  if (c.list_walked.size() <= list_table_.max_lid()) {
+    c.list_walked.resize(static_cast<size_t>(list_table_.max_lid()) + 1);
+  }
   for (const auto& b : *blocks) {
     const Lid lid = block_map_.entry(b.bid).list;
-    if (lid == kNilLid || !walked.insert(lid).second || !list_table_.IsAllocated(lid)) {
+    if (lid == kNilLid || lid >= c.list_walked.size() || c.list_walked[lid] == gen) {
       continue;
     }
-    uint64_t pos = 0;
+    c.list_walked[lid] = gen;
+    if (!list_table_.IsAllocated(lid)) {
+      continue;
+    }
+    uint32_t pos = 0;
     for (Bid cur = list_table_.entry(lid).first; cur != kNilBid;
          cur = block_map_.entry(cur).successor) {
-      position[cur] = pos++;
+      c.list_order[cur] = ListOrderSlot{gen, pos++};
       if (pos > block_map_.allocated_count()) {
         break;  // Defensive: a corrupt cycle must not hang the cleaner.
       }
     }
   }
-  std::stable_sort(blocks->begin(), blocks->end(),
-                   [&](const CleanedBlock& a, const CleanedBlock& b) {
-                     const Lid la = block_map_.entry(a.bid).list;
-                     const Lid lb = block_map_.entry(b.bid).list;
-                     if (la != lb) {
-                       return la < lb;
-                     }
-                     const auto pa = position.find(a.bid);
-                     const auto pb = position.find(b.bid);
-                     const uint64_t va = pa == position.end() ? UINT64_MAX : pa->second;
-                     const uint64_t vb = pb == position.end() ? UINT64_MAX : pb->second;
-                     return va < vb;
-                   });
+  // Key: list in the high word, position in the low word (all ones when
+  // unwalked); the batch index breaks ties, which makes the sort stable.
+  c.order_keys.clear();
+  for (size_t i = 0; i < blocks->size(); ++i) {
+    const Bid bid = (*blocks)[i].bid;
+    const ListOrderSlot slot = c.list_order[bid];
+    const uint32_t pos = slot.gen == gen ? slot.pos : UINT32_MAX;
+    c.order_keys.emplace_back(static_cast<uint64_t>(block_map_.entry(bid).list) << 32 | pos,
+                              static_cast<uint32_t>(i));
+  }
+  std::sort(c.order_keys.begin(), c.order_keys.end());
+  c.order_out.clear();
+  for (const auto& key : c.order_keys) {
+    c.order_out.push_back((*blocks)[key.second]);
+  }
+  blocks->swap(c.order_out);
 }
 
-Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
+Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
   if (batch.blocks.empty() && batch.records.empty()) {
     return OkStatus();
   }
@@ -313,9 +341,25 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
   // pipelined user-segment write still in flight; order it first.
   RETURN_IF_ERROR(WaitForInflight());
   // A dedicated segment image, independent of the user's open segment, so
-  // cleaned state is durable before any victim is reused.
-  std::vector<uint8_t> buffer(options_.segment_bytes, 0);
-  std::vector<SummaryRecord> records;
+  // cleaned state is durable before any victim is reused. It is kept
+  // between batches; only the extents the last image wrote are re-zeroed
+  // (the summary tail needs none: EncodeSummary rewrites all of it).
+  CleanerBuffers& c = cleaner_;
+  if (c.image.size() != options_.segment_bytes) {
+    c.image.assign(options_.segment_bytes, 0);
+    c.image_head = 0;
+    c.image_spill = 0;
+  }
+  std::span<uint8_t> buffer(c.image);
+  const auto clear_image = [&] {
+    std::memset(buffer.data(), 0, c.image_head);
+    std::memset(buffer.data() + data_capacity_ - c.image_spill, 0, c.image_spill);
+    c.image_head = 0;
+    c.image_spill = 0;
+  };
+  clear_image();
+  std::vector<SummaryRecord>& records = c.image_records;
+  records.clear();
   size_t record_bytes = 0;
   uint32_t used = 0;
   uint32_t image_max_stored = 0;  // Largest stored block in the current image.
@@ -357,15 +401,17 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     SegmentUsage parity_info;
     const bool has_parity =
         AddSegmentParity(buffer, used, image_max_stored, &records, &parity_info);
+    if (has_parity) {
+      c.image_head = parity_info.parity_offset + parity_info.parity_bytes;
+    }
     SummaryHeader header;
     header.seq = seq;
     header.segment_index = static_cast<uint32_t>(target);
     header.data_bytes = used;
     uint32_t ext_used = 0;
-    RETURN_IF_ERROR(EncodeSummary(header, records,
-                                  std::span<uint8_t>(buffer).subspan(data_capacity_),
-                                  std::span<uint8_t>(buffer).subspan(used, data_capacity_ - used),
-                                  &ext_used));
+    RETURN_IF_ERROR(EncodeSummary(header, records, buffer.subspan(data_capacity_),
+                                  buffer.subspan(used, data_capacity_ - used), &ext_used));
+    c.image_spill = ext_used;
     // Cleaning overlaps foreground traffic: segment images are *submitted*
     // to the device queue (data is captured at submit, so `buffer` can be
     // reused for the next image immediately); the Drain() at the end of
@@ -384,16 +430,13 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
             has_parity
                 ? static_cast<uint64_t>(parity_info.parity_offset) + parity_info.parity_bytes
                 : (static_cast<uint64_t>(used) + sector - 1) / sector * sector;
-        if (Status s =
-                io_.SubmitWrite(base / sector, std::span<const uint8_t>(buffer).subspan(0, data_len))
-                    .status();
+        if (Status s = io_.SubmitWrite(base / sector, buffer.subspan(0, data_len)).status();
             !s.ok()) {
           return HandleWriteFailure(s);
         }
       }
       if (Status s = io_.SubmitWrite((base + data_capacity_) / sector,
-                                     std::span<const uint8_t>(buffer).subspan(
-                                         data_capacity_, options_.summary_bytes))
+                                     buffer.subspan(data_capacity_, options_.summary_bytes))
                          .status();
           !s.ok()) {
         return HandleWriteFailure(s);
@@ -447,7 +490,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     record_bytes = 0;
     used = 0;
     image_max_stored = 0;
-    std::memset(buffer.data(), 0, buffer.size());
+    clear_image();
     counters_.segments_written++;
     NoteSegmentImageWrite(static_cast<uint32_t>(target));
     return OkStatus();
@@ -482,7 +525,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     return OkStatus();
   };
 
-  for (auto& b : batch.blocks) {
+  for (const auto& b : batch.blocks) {
     SummaryRecord proto;
     proto.type = SummaryRecordType::kBlockEntry;
     const uint32_t next_max =
@@ -500,6 +543,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     const uint32_t offset = used;
     std::memcpy(buffer.data() + offset, b.stored.data(), b.stored.size());
     used += static_cast<uint32_t>(b.stored.size());
+    c.image_head = used;
     image_max_stored = std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
     SummaryRecord entry = SummaryRecord::BlockEntry(
         NextTs(), b.bid, block_map_.entry(b.bid).list, offset,
@@ -555,7 +599,9 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   const uint32_t writer_budget = free_now - 1;  // Segments the writer may consume.
   const uint32_t max_victims = std::max(count, 64u);
 
-  CleanerBatch batch;
+  CleanerBatch& batch = cleaner_.batch;
+  batch.blocks.clear();
+  batch.records.clear();
   std::vector<uint32_t> victims;
   std::vector<uint32_t> victim_ext;  // Deferred ext-record release per victim.
   std::vector<VictimDataRead> reads;
@@ -612,7 +658,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       cleaning_ = false;
       return status;
     }
-    if (!pending.data.empty()) {
+    if (pending.bytes > 0) {
       reads.push_back(std::move(pending));
     }
     for (size_t i = records_before; i < batch.records.size(); ++i) {
@@ -633,15 +679,33 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
 
   // Submit every victim's data-area read as one async batch: on a
   // multi-channel device the reads overlap instead of serializing one
-  // blocking read per victim. The blocks slice their bytes out afterwards
-  // (before OrderByLists, which permutes the slice targets).
+  // blocking read per victim. The reads land back to back in the victim
+  // arena, sized once here, and each block's span points at its bytes there
+  // (bound before OrderByLists, which permutes the blocks by index).
   {
+    uint64_t arena_bytes = 0;
+    for (VictimDataRead& r : reads) {
+      r.arena_offset = arena_bytes;
+      arena_bytes += r.bytes;
+    }
+    std::vector<uint8_t>& arena = cleaner_.victim_arena;
+    if (arena.size() < arena_bytes) {
+      arena.clear();  // Grow without copying stale bytes.
+      arena.resize(arena_bytes);
+    }
+    for (const VictimDataRead& r : reads) {
+      for (const VictimDataRead::Slice& s : r.slices) {
+        batch.blocks[s.block_index].stored =
+            std::span<uint8_t>(arena).subspan(r.arena_offset + s.offset, s.size);
+      }
+    }
     const uint32_t sector = device_->sector_size();
     Status failure = OkStatus();
     std::vector<IoTag> tags(reads.size(), kInvalidIoTag);
     for (size_t i = 0; i < reads.size(); ++i) {
-      StatusOr<IoTag> tag = io_.SubmitRead(SegmentBaseByte(reads[i].victim) / sector,
-                                           std::span<uint8_t>(reads[i].data));
+      StatusOr<IoTag> tag = io_.SubmitRead(
+          SegmentBaseByte(reads[i].victim) / sector,
+          std::span<uint8_t>(arena).subspan(reads[i].arena_offset, reads[i].bytes));
       if (!tag.ok()) {
         failure = tag.status();
         break;
@@ -663,12 +727,6 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       cleaning_ = false;
       return failure;
     }
-    for (const VictimDataRead& r : reads) {
-      for (const VictimDataRead::Slice& s : r.slices) {
-        CleanedBlock& b = batch.blocks[s.block_index];
-        std::memcpy(b.stored.data(), r.data.data() + s.offset, b.stored.size());
-      }
-    }
   }
 
   // A stripe touching a victim is dissolved before the batch goes out: the
@@ -687,7 +745,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   }
 
   OrderByLists(&batch.blocks);
-  const Status status = WriteCleanerBatch(std::move(batch));
+  const Status status = WriteCleanerBatch(batch);
   if (!status.ok()) {
     for (uint32_t v : victims) {
       usage_->segment(v).state = SegmentState::kFull;
@@ -724,6 +782,29 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   return OkStatus();
 }
 
+Status LogStructuredDisk::ReadIntoBatch(const std::vector<Bid>& bids, CleanerBatch* batch) {
+  uint64_t total = 0;
+  for (Bid bid : bids) {
+    total += block_map_.entry(bid).stored_size;
+  }
+  batch->arena.resize(total);
+  uint64_t at = 0;
+  for (Bid bid : bids) {
+    const BlockMapEntry& e = block_map_.entry(bid);
+    CleanedBlock b;
+    b.bid = bid;
+    b.orig_size = e.size_class;
+    b.compressed = e.compressed;
+    b.payload_crc = e.payload_crc;
+    b.has_payload_crc = e.has_payload_crc;
+    b.stored = std::span<uint8_t>(batch->arena).subspan(at, e.stored_size);
+    at += e.stored_size;
+    RETURN_IF_ERROR(ReadStored(e, b.stored));
+    batch->blocks.push_back(b);
+  }
+  return OkStatus();
+}
+
 StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
   if (shut_down_) {
     return FailedPreconditionError("LLD is shut down");
@@ -751,25 +832,19 @@ StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
     return 0u;
   }
 
-  CleanerBatch batch;
+  std::vector<Bid> bids;
+  bids.reserve(ranked.size());
   for (const auto& [count, bid] : ranked) {
-    const BlockMapEntry& e = block_map_.entry(bid);
-    CleanedBlock b;
-    b.bid = bid;
-    b.orig_size = e.size_class;
-    b.compressed = e.compressed;
-    b.payload_crc = e.payload_crc;
-    b.has_payload_crc = e.has_payload_crc;
-    b.stored.resize(e.stored_size);
-    RETURN_IF_ERROR(ReadStored(e, b.stored));
-    batch.blocks.push_back(std::move(b));
+    bids.push_back(bid);
   }
+  CleanerBatch batch;
+  RETURN_IF_ERROR(ReadIntoBatch(bids, &batch));
   const uint32_t moved = static_cast<uint32_t>(batch.blocks.size());
   // Center the hot set in the data region (Akyurek & Salem place hot blocks
   // near the middle of the disk to halve average seeks from everywhere).
   cleaning_ = true;
   writer_placement_hint_ = usage_->num_segments() / 2;
-  const Status status = WriteCleanerBatch(std::move(batch));
+  const Status status = WriteCleanerBatch(batch);
   writer_placement_hint_ = -1;
   cleaning_ = false;
   RETURN_IF_ERROR(status);
@@ -782,7 +857,7 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
   }
   // Collect on-disk blocks in list-of-lists order, then in list order: the
   // layout the reorganizer wants on disk.
-  CleanerBatch batch;
+  std::vector<Bid> bids;
   uint64_t bytes = 0;
   const uint64_t budget = static_cast<uint64_t>(max_segments) * data_capacity_;
   for (Lid lid = list_table_.lol_head(); lid != kNilLid && bytes < budget;
@@ -796,24 +871,18 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
       if (!e.phys.IsOnDisk()) {
         continue;
       }
-      CleanedBlock b;
-      b.bid = bid;
-      b.orig_size = e.size_class;
-      b.compressed = e.compressed;
-      b.payload_crc = e.payload_crc;
-      b.has_payload_crc = e.has_payload_crc;
-      b.stored.resize(e.stored_size);
-      RETURN_IF_ERROR(ReadStored(e, b.stored));
       bytes += e.stored_size;
-      batch.blocks.push_back(std::move(b));
+      bids.push_back(bid);
     }
   }
-  if (batch.blocks.empty()) {
+  if (bids.empty()) {
     return 0u;
   }
+  CleanerBatch batch;
+  RETURN_IF_ERROR(ReadIntoBatch(bids, &batch));
   const uint64_t before = counters_.segments_written;
   cleaning_ = true;
-  const Status status = WriteCleanerBatch(std::move(batch));
+  const Status status = WriteCleanerBatch(batch);
   cleaning_ = false;
   RETURN_IF_ERROR(status);
   // Segments drained by the rewrite are reclaimed by the cleaner, which

@@ -217,7 +217,11 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
 
   // Step 3: verify every live on-disk block stored in the window; relocate
   // whatever lives on a suspect segment so the segment can be retired.
+  // Each block is read onto the end of the batch arena and its bytes stay
+  // there only if it is relocated; the arena may move while it grows, so
+  // the kept blocks' spans are pointed at it once the scan is done.
   CleanerBatch batch;
+  std::vector<uint64_t> kept_at;  // Arena offset of each batch block.
   for (Bid bid = 1; bid <= block_map_.max_bid(); ++bid) {
     if (!block_map_.IsAllocated(bid)) {
       continue;
@@ -238,7 +242,9 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     b.compressed = e.compressed;
     b.payload_crc = e.payload_crc;
     b.has_payload_crc = e.has_payload_crc;
-    b.stored.resize(e.stored_size);
+    const uint64_t at = batch.arena.size();
+    batch.arena.resize(at + e.stored_size);
+    b.stored = std::span<uint8_t>(batch.arena).subspan(at);
 
     bool damaged = false;
     bool unreadable = false;
@@ -287,13 +293,20 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       }
     }
     if (damaged && !reconstructed && !on_suspect) {
+      // Report only: nothing here can repair it.
       LD_LOG(kWarn) << "scrub: block " << bid << " in healthy segment " << e.phys.segment
                     << " is damaged and has no redundant copy";
-      continue;  // Report only: nothing here can repair it.
     }
     if (on_suspect || reconstructed) {
-      batch.blocks.push_back(std::move(b));
+      batch.blocks.push_back(b);
+      kept_at.push_back(at);
+    } else {
+      batch.arena.resize(at);
     }
+  }
+  for (size_t i = 0; i < batch.blocks.size(); ++i) {
+    CleanedBlock& b = batch.blocks[i];
+    b.stored = std::span<uint8_t>(batch.arena).subspan(kept_at[i], b.stored.size());
   }
 
   // Step 4: re-log metadata whose authoritative record sits in a suspect
@@ -360,7 +373,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
   if (!batch.blocks.empty() || !batch.records.empty()) {
     OrderByLists(&batch.blocks);
     cleaning_ = true;
-    const Status status = WriteCleanerBatch(std::move(batch));
+    const Status status = WriteCleanerBatch(batch);
     cleaning_ = false;
     RETURN_IF_ERROR(status);
   }
@@ -383,7 +396,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
           SummaryRecord::ScrubIntent(NextTs(), seg, usage_->segment(seg).seq));
     }
     cleaning_ = true;
-    const Status intent_status = WriteCleanerBatch(std::move(intents));
+    const Status intent_status = WriteCleanerBatch(intents);
     cleaning_ = false;
     RETURN_IF_ERROR(intent_status);
 

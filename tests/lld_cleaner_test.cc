@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <span>
+#include <utility>
 
+#include "src/compress/lzrw.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 #include "src/workload/hot_cold.h"
 #include "tests/device_test_util.h"
@@ -220,6 +225,165 @@ TEST(LldCleanerTest, ClusterOnCleanRestoresListOrder) {
   EXPECT_GT(adjacent, mine.size() / 2);
 }
 
+// 4 KB whose LZRW1-compressed size depends on `tag`: a random prefix of
+// tag-dependent length, then zeros.
+std::vector<uint8_t> Compressible(uint32_t tag) {
+  std::vector<uint8_t> data(4096, 0);
+  Rng rng(tag + 1);
+  const uint32_t noisy = 300 + (tag * 389) % 3500;
+  for (uint32_t i = 0; i < noisy; ++i) {
+    data[i] = static_cast<uint8_t>(rng.Next());
+  }
+  return data;
+}
+
+// Four interleaved lists whose list order differs from both bid order and
+// write order: blocks are appended and prepended in turn, a sublist moves
+// between lists, some blocks are deleted, and the third list is compressed
+// (its stored sizes vary block to block and change on overwrite).
+std::vector<Lid> BuildTangledLists(LogStructuredDisk* lld, Lid first_list) {
+  std::vector<Lid> lists{first_list};
+  for (int i = 1; i < 4; ++i) {
+    ListHints hints;
+    hints.compress = i == 2;
+    lists.push_back(*lld->NewList(lists.back(), hints));
+  }
+  std::vector<Bid> tail(lists.size(), kBeginOfList);
+  uint32_t tag = 0;
+  for (uint32_t i = 0; i < 80; ++i) {
+    for (size_t j = 0; j < lists.size(); ++j) {
+      const bool prepend = i % 3 == 0 && tail[j] != kBeginOfList;
+      auto bid = lld->NewBlock(lists[j], prepend ? kBeginOfList : tail[j]);
+      EXPECT_TRUE(bid.ok()) << bid.status().ToString();
+      const auto data = j == 2 ? Compressible(tag) : Pattern(4096, tag);
+      EXPECT_TRUE(lld->Write(*bid, data).ok());
+      ++tag;
+      if (!prepend) {
+        tail[j] = *bid;
+      }
+    }
+  }
+  // Move ten blocks from the middle of list 0 to after the fifth block of
+  // list 3.
+  const std::vector<Bid> l0 = *lld->ListBlocks(lists[0]);
+  const std::vector<Bid> l3 = *lld->ListBlocks(lists[3]);
+  EXPECT_TRUE(lld->MoveSublist(l0[20], l0[29], lists[0], lists[3], l3[4]).ok());
+  // Delete every seventh block of list 1.
+  const std::vector<Bid> l1 = *lld->ListBlocks(lists[1]);
+  for (size_t i = 0; i < l1.size(); i += 7) {
+    EXPECT_TRUE(lld->DeleteBlock(l1[i], lists[1], kNilBid).ok());
+  }
+  // Rewrite every fifth compressed block with a different stored size.
+  const std::vector<Bid> l2 = *lld->ListBlocks(lists[2]);
+  for (size_t i = 0; i < l2.size(); i += 5) {
+    EXPECT_TRUE(lld->Write(l2[i], Compressible(tag++)).ok());
+  }
+  EXPECT_TRUE(lld->Flush().ok());
+  return lists;
+}
+
+std::vector<std::pair<Bid, PhysAddr>> Placements(const LogStructuredDisk& lld) {
+  std::vector<std::pair<Bid, PhysAddr>> out;
+  for (Bid bid = 1; bid <= lld.block_map().max_bid(); ++bid) {
+    if (lld.block_map().IsAllocated(bid)) {
+      out.emplace_back(bid, lld.block_map().entry(bid).phys);
+    }
+  }
+  return out;
+}
+
+// Blocks whose copy moved since `before` was taken, in the order they were
+// written: by their segment's sequence number, then by offset.
+std::vector<Bid> RelocatedInLayoutOrder(const LogStructuredDisk& lld,
+                                        const std::vector<std::pair<Bid, PhysAddr>>& before) {
+  std::vector<std::pair<std::pair<uint64_t, uint32_t>, Bid>> moved;
+  for (const auto& [bid, phys] : before) {
+    const PhysAddr now = lld.block_map().entry(bid).phys;
+    if (now != phys) {
+      EXPECT_TRUE(now.IsOnDisk()) << bid;
+      moved.push_back({{lld.usage_table().segment(now.segment).seq, now.offset}, bid});
+    }
+  }
+  std::sort(moved.begin(), moved.end());
+  std::vector<Bid> out;
+  for (const auto& m : moved) {
+    out.push_back(m.second);
+  }
+  return out;
+}
+
+// The order cluster-on-clean promises for a set of blocks: lists by
+// ascending id, each walked from its head.
+std::vector<Bid> InListOrder(const LogStructuredDisk& lld, const std::vector<Bid>& blocks) {
+  const std::set<Bid> wanted(blocks.begin(), blocks.end());
+  std::vector<Bid> out;
+  for (Lid lid = 1; lid <= lld.list_table().max_lid(); ++lid) {
+    if (!lld.list_table().IsAllocated(lid)) {
+      continue;
+    }
+    const std::vector<Bid> walk = *lld.ListBlocks(lid);
+    for (Bid bid : walk) {
+      if (wanted.count(bid) != 0) {
+        out.push_back(bid);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LldCleanerTest, ClusterOnCleanLaysOutEveryListInExactListOrder) {
+  Lzrw1Compressor lzrw;
+  LldOptions options = TestOptions();
+  options.cluster_on_clean = true;
+  options.compressor = &lzrw;
+  Rig rig(options);
+  const std::vector<Lid> lists = BuildTangledLists(rig.lld.get(), rig.list);
+  std::set<uint32_t> stored_sizes;
+  const std::vector<Bid> compressed = *rig.lld->ListBlocks(lists[2]);
+  for (Bid bid : compressed) {
+    stored_sizes.insert(rig.lld->block_map().entry(bid).stored_size);
+  }
+  ASSERT_GT(stored_sizes.size(), 10u) << "compressed list should vary in stored size";
+
+  const auto before = Placements(*rig.lld);
+  ASSERT_TRUE(rig.lld->CleanSegments(rig.lld->num_segments()).ok());
+  const std::vector<Bid> relocated = RelocatedInLayoutOrder(*rig.lld, before);
+  ASSERT_GT(relocated.size(), 250u);
+  EXPECT_EQ(relocated, InListOrder(*rig.lld, relocated));
+}
+
+TEST(LldCleanerTest, ScrubRelocatesInExactListOrder) {
+  Lzrw1Compressor lzrw;
+  LldOptions options = TestOptions();
+  options.cluster_on_clean = true;
+  options.compressor = &lzrw;
+  Rig rig(options);
+  BuildTangledLists(rig.lld.get(), rig.list);
+  // A clean pass first, so its quiesce (sealing the open segment) moves
+  // nothing during the pass under test.
+  ASSERT_TRUE(rig.lld->Scrub().ok());
+  std::set<uint32_t> suspects;
+  for (Bid bid = 1; bid <= rig.lld->block_map().max_bid() && suspects.size() < 3; ++bid) {
+    const BlockMapEntry& e = rig.lld->block_map().entry(bid);
+    if (rig.lld->block_map().IsAllocated(bid) && e.phys.IsOnDisk()) {
+      suspects.insert(e.phys.segment);
+    }
+  }
+  ASSERT_EQ(suspects.size(), 3u);
+  for (uint32_t seg : suspects) {
+    ASSERT_TRUE(rig.disk->CorruptSector(rig.lld->SegmentSummaryStartByte(seg) / 512, 0, 0xff).ok());
+  }
+
+  const auto before = Placements(*rig.lld);
+  auto report = rig.lld->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->suspect_segments, 3u);
+  const std::vector<Bid> relocated = RelocatedInLayoutOrder(*rig.lld, before);
+  EXPECT_EQ(relocated.size(), report->blocks_relocated);
+  ASSERT_GT(relocated.size(), 30u);
+  EXPECT_EQ(relocated, InListOrder(*rig.lld, relocated));
+}
+
 TEST(LldCleanerTest, ReorganizerRestoresSequentialLayout) {
   Rig rig;
   // Write blocks, then overwrite them in random order to scramble layout.
@@ -407,6 +571,73 @@ TEST(LldCleanerTest, DefaultPolicyMatchesExplicitGreedyByteForByte) {
     return image;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// CRC-32 of the whole device image.
+uint32_t DeviceDigest(Rig& rig) {
+  uint32_t crc = Crc32Init();
+  std::vector<uint8_t> chunk(128 * 1024);
+  for (uint64_t s = 0; s < kDiskBytes / 512; s += chunk.size() / 512) {
+    EXPECT_TRUE(rig.mem->Read(s, chunk).ok());
+    crc = Crc32Update(crc, chunk);
+  }
+  return Crc32Final(crc);
+}
+
+// The cleaner's on-disk output is pinned bit for bit: block order within
+// and across images, re-logged record order, padding and parity. The
+// digests are CRC-32s of the whole device after a seeded hot/cold run,
+// under both victim policies with segment parity off and on.
+TEST(LldCleanerTest, CleanerImageMatchesGoldenDigest) {
+  struct Case {
+    CleaningPolicy policy;
+    bool parity;
+    uint32_t digest;
+  };
+  const Case cases[] = {
+      {CleaningPolicy::kGreedy, false, 0xc2e9b6e0u},
+      {CleaningPolicy::kGreedy, true, 0x17194310u},
+      {CleaningPolicy::kCostBenefit, false, 0x80c1d237u},
+      {CleaningPolicy::kCostBenefit, true, 0x0143eddbu},
+  };
+  for (const Case& c : cases) {
+    LldOptions options = TestOptions();
+    options.cleaning_policy = c.policy;
+    options.segment_parity = c.parity;
+    Rig rig(options);
+    HotColdParams params;
+    params.num_blocks = 1200;
+    params.writes = 6000;
+    params.seed = 11;
+    ASSERT_TRUE(RunHotCold(rig.lld.get(), params).ok());
+    ASSERT_TRUE(rig.lld->Flush().ok());
+    ASSERT_GT(rig.lld->counters().segments_cleaned, 0u);
+    const uint32_t digest = DeviceDigest(rig);
+    EXPECT_EQ(digest, c.digest) << "policy " << static_cast<int>(c.policy) << " parity "
+                                << c.parity << std::hex << " digest 0x" << digest;
+  }
+}
+
+// The same pin for images the hot/cold run never produces: compressed
+// blocks whose stored sizes leave sector padding after them, and a batch
+// with so many re-logged records that they spill into the data area.
+TEST(LldCleanerTest, CompressedListCleanMatchesGoldenDigest) {
+  const std::pair<bool, uint32_t> cases[] = {{false, 0xfc89ea25u}, {true, 0xf45aeaf0u}};
+  for (const auto& [parity, golden] : cases) {
+    Lzrw1Compressor lzrw;
+    LldOptions options = TestOptions();
+    options.segment_parity = parity;
+    options.compressor = &lzrw;
+    Rig rig(options);
+    BuildTangledLists(rig.lld.get(), rig.list);
+    // Two full passes: the second re-cleans the first one's output,
+    // spilled records included.
+    ASSERT_TRUE(rig.lld->CleanSegments(rig.lld->num_segments()).ok());
+    ASSERT_TRUE(rig.lld->CleanSegments(rig.lld->num_segments()).ok());
+    ASSERT_TRUE(rig.lld->Flush().ok());
+    const uint32_t digest = DeviceDigest(rig);
+    EXPECT_EQ(digest, golden) << "parity " << parity << std::hex << " digest 0x" << digest;
+  }
 }
 
 // Cleaner output forms the cold generation: segments it writes are tagged
