@@ -8,7 +8,8 @@
 // BM_Memcpy_4K is the in-binary calibration: host cost checks compare other
 // rows to it as a ratio (e.g. CRC of 4 KB against a 4-KB copy), which holds
 // across hosts of different speed. BM_CleanRound times whole cleaning
-// rounds on an aged volume.
+// rounds on an aged volume; BM_MinixLookupLargeDir times MINIX name lookups
+// in a large linear directory on LLD.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/minixfs/minix_fs.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
 
@@ -192,6 +194,27 @@ void BM_CleanRound(benchmark::State& state) {
   state.counters["ns_per_segment"] = segments == 0 ? 0.0 : ns / static_cast<double>(segments);
 }
 BENCHMARK(BM_CleanRound)->Unit(benchmark::kMicrosecond);
+
+// Host cost of one OpenFile of a seeded random name in a 10 000-entry
+// directory of MINIX on LLD (list per file, the paper's default cache): a
+// linear scan of ~157 directory blocks, every one a buffer-cache hit.
+void BM_MinixLookupLargeDir(benchmark::State& state) {
+  constexpr int kFiles = 10000;
+  SimClock clock;
+  MemDisk disk((256ull << 20) / 512, 512, &clock);
+  auto lld = *LogStructuredDisk::Format(&disk, LldOptions{});
+  auto fs = *MinixFs::FormatOnLd(lld.get(), MinixOptions{}, /*list_per_file=*/true);
+  std::vector<std::string> paths;
+  for (int i = 0; i < kFiles; ++i) {
+    paths.push_back("/f" + std::to_string(i));
+    (void)fs->CreateFile(paths.back());
+  }
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fs->OpenFile(paths[rng.Below(kFiles)]));
+  }
+}
+BENCHMARK(BM_MinixLookupLargeDir);
 
 }  // namespace
 }  // namespace ld

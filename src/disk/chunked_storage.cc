@@ -9,16 +9,12 @@ ChunkedStorage::ChunkedStorage(uint64_t total_bytes) {
   chunks_.resize((total_bytes + kChunkBytes - 1) / kChunkBytes);
 }
 
-uint8_t* ChunkedStorage::ChunkFor(uint64_t byte_offset, bool allocate) const {
-  const uint64_t index = byte_offset / kChunkBytes;
-  if (chunks_[index] == nullptr) {
-    if (!allocate) {
-      return nullptr;
-    }
-    chunks_[index] = std::make_unique<uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[index].get(), 0, kChunkBytes);
+uint8_t* ChunkedStorage::AllocatedChunkFor(uint64_t byte_offset) {
+  std::unique_ptr<uint8_t[]>& chunk = chunks_[byte_offset / kChunkBytes];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<uint8_t[]>(kChunkBytes);  // Value-initialized: zeros.
   }
-  return chunks_[index].get();
+  return chunk.get();
 }
 
 void ChunkedStorage::CopyOut(uint64_t byte_offset, std::span<uint8_t> out) const {
@@ -28,7 +24,7 @@ void ChunkedStorage::CopyOut(uint64_t byte_offset, std::span<uint8_t> out) const
     const uint64_t within = byte % kChunkBytes;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(kChunkBytes - within, out.size() - copied));
-    uint8_t* chunk = ChunkFor(byte, /*allocate=*/false);
+    const uint8_t* chunk = chunks_[byte / kChunkBytes].get();
     if (chunk != nullptr) {
       std::memcpy(out.data() + copied, chunk + within, n);
     } else {
@@ -46,7 +42,7 @@ void ChunkedStorage::CopyIn(uint64_t byte_offset, std::span<const uint8_t> data)
     const uint64_t within = byte % kChunkBytes;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(kChunkBytes - within, data.size() - copied));
-    uint8_t* chunk = ChunkFor(byte, /*allocate=*/true);
+    uint8_t* chunk = AllocatedChunkFor(byte);
     std::memcpy(chunk + within, data.data() + copied, n);
     copied += n;
     byte += n;

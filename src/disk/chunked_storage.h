@@ -20,11 +20,11 @@ class ChunkedStorage {
   void CopyIn(uint64_t byte_offset, std::span<const uint8_t> data);
 
  private:
-  uint8_t* ChunkFor(uint64_t byte_offset, bool allocate) const;
+  // The chunk holding `byte_offset`, allocated (zeroed) on first use.
+  uint8_t* AllocatedChunkFor(uint64_t byte_offset);
 
   static constexpr uint64_t kChunkBytes = 1 << 20;
-  // Mutable so CopyOut stays const; allocation is an invisible side effect.
-  mutable std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_;  // Null = never written.
 };
 
 }  // namespace ld

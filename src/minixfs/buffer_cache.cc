@@ -1,7 +1,6 @@
 #include "src/minixfs/buffer_cache.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "src/disk/block_device.h"
 
@@ -69,13 +68,10 @@ void BufferCache::NoteDropped(const CacheBlock& block) {
   }
 }
 
-void BufferCache::Touch(uint32_t bno) {
-  auto pos = lru_pos_.find(bno);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-  }
+void BufferCache::Install(std::shared_ptr<CacheBlock> block) {
+  const uint32_t bno = block->bno;
   lru_.push_front(bno);
-  lru_pos_[bno] = lru_.begin();
+  blocks_.emplace(bno, Entry{std::move(block), lru_.begin()});
 }
 
 Status BufferCache::EvictOne() {
@@ -83,26 +79,18 @@ Status BufferCache::EvictOne() {
     return OkStatus();
   }
   const uint32_t victim = lru_.back();
-  lru_.pop_back();
-  lru_pos_.erase(victim);
   auto it = blocks_.find(victim);
-  if (it != blocks_.end()) {
-    if (it->second->dirty) {
-      const Status written = cluster_writes_ ? WriteClusterAround(victim)
-                                             : write_(victim, 1, it->second->data);
-      if (!written.ok()) {
-        // Put the victim back at the cold end: dropping it from the LRU
-        // while it stays in blocks_ would orphan the dirty block (its data
-        // could never be written out or evicted again).
-        lru_.push_back(victim);
-        lru_pos_[victim] = std::prev(lru_.end());
-        return written;
-      }
-      it->second->dirty = false;
-    }
-    NoteDropped(*it->second);
-    blocks_.erase(it);
+  CacheBlock& block = *it->second.block;
+  if (block.dirty) {
+    // A failed write-back leaves the victim cached, dirty, and still at the
+    // cold end, so the next eviction retries it.
+    RETURN_IF_ERROR(cluster_writes_ ? WriteClusterAround(victim)
+                                    : write_(victim, 1, block.data));
+    block.dirty = false;
   }
+  NoteDropped(block);
+  lru_.erase(it->second.lru);
+  blocks_.erase(it);
   return OkStatus();
 }
 
@@ -112,7 +100,7 @@ Status BufferCache::WriteClusterAround(uint32_t bno) {
   uint32_t first = bno;
   while (first > 0 && bno - (first - 1) < max_cluster_blocks_) {
     auto it = blocks_.find(first - 1);
-    if (it == blocks_.end() || !it->second->dirty) {
+    if (it == blocks_.end() || !it->second.block->dirty) {
       break;
     }
     first--;
@@ -120,27 +108,27 @@ Status BufferCache::WriteClusterAround(uint32_t bno) {
   uint32_t last = bno;
   while (last + 1 - first < max_cluster_blocks_) {
     auto it = blocks_.find(last + 1);
-    if (it == blocks_.end() || !it->second->dirty) {
+    if (it == blocks_.end() || !it->second.block->dirty) {
       break;
     }
     last++;
   }
   const uint32_t count = last - first + 1;
   if (count == 1) {
-    auto& block = blocks_[bno];
-    RETURN_IF_ERROR(write_(bno, 1, block->data));
-    block->dirty = false;
+    CacheBlock& block = *blocks_.at(bno).block;
+    RETURN_IF_ERROR(write_(bno, 1, block.data));
+    block.dirty = false;
     return OkStatus();
   }
   std::vector<uint8_t> cluster(static_cast<size_t>(count) * block_size_);
   for (uint32_t i = 0; i < count; ++i) {
-    auto& block = blocks_[first + i];
-    std::copy(block->data.begin(), block->data.end(),
+    const CacheBlock& block = *blocks_.at(first + i).block;
+    std::copy(block.data.begin(), block.data.end(),
               cluster.begin() + static_cast<size_t>(i) * block_size_);
   }
   RETURN_IF_ERROR(write_(first, count, cluster));
   for (uint32_t i = 0; i < count; ++i) {
-    blocks_[first + i]->dirty = false;
+    blocks_.at(first + i).block->dirty = false;
   }
   return OkStatus();
 }
@@ -181,8 +169,7 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
   block->bno = bno;
   block->data = std::move(p.data);
   block->prefetched = p.prefetch;
-  blocks_[bno] = block;
-  Touch(bno);
+  Install(block);
   return block;
 }
 
@@ -190,14 +177,15 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
   auto it = blocks_.find(bno);
   if (it != blocks_.end()) {
     BumpHit();
-    if (it->second->prefetched && !it->second->referenced) {
+    CacheBlock& block = *it->second.block;
+    if (block.prefetched && !block.referenced) {
       BumpPrefetchHit();
     }
-    it->second->referenced = true;
-    Touch(bno);
-    return it->second;
+    block.referenced = true;
+    Touch(it->second);
+    return it->second.block;
   }
-  if (pending_.count(bno) != 0) {
+  if (pending_.contains(bno)) {
     if (!load) {
       // The caller overwrites the whole block: the in-flight bytes are dead.
       RETURN_IF_ERROR(CancelPending(bno));
@@ -236,16 +224,15 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
     }
   }
   block->referenced = true;
-  blocks_[bno] = block;
-  Touch(bno);
+  Install(block);
   return block;
 }
 
 Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
-  if (blocks_.count(bno) != 0) {
+  if (blocks_.contains(bno)) {
     return OkStatus();
   }
-  if (pending_.count(bno) != 0) {
+  if (pending_.contains(bno)) {
     // Single flight: the second request coalesces onto the first.
     coalesced_reads_++;
     return OkStatus();
@@ -266,7 +253,7 @@ Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
 }
 
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
-  if (blocks_.count(bno) != 0 || pending_.count(bno) == 0) {
+  if (blocks_.contains(bno) || !pending_.contains(bno)) {
     return Get(bno, /*load=*/true);
   }
   auto adopted = AdoptPending(bno);
@@ -283,7 +270,7 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
 }
 
 void BufferCache::Insert(uint32_t bno, std::span<const uint8_t> data) {
-  if (blocks_.count(bno) != 0) {
+  if (blocks_.contains(bno)) {
     // Never clobber the cached copy — it may be dirty, and the dirty bytes
     // are newer than anything a read-ahead fill brings from the media.
     return;
@@ -302,15 +289,14 @@ void BufferCache::Insert(uint32_t bno, std::span<const uint8_t> data) {
   block->bno = bno;
   block->data.assign(data.begin(), data.end());
   block->prefetched = true;
-  blocks_[bno] = block;
-  Touch(bno);
+  Install(std::move(block));
 }
 
 Status BufferCache::FlushAll() {
   std::vector<uint32_t> dirty;
   dirty.reserve(blocks_.size());
-  for (const auto& [bno, block] : blocks_) {
-    if (block->dirty) {
+  for (const auto& [bno, entry] : blocks_) {
+    if (entry.block->dirty) {
       dirty.push_back(bno);
     }
   }
@@ -318,9 +304,9 @@ Status BufferCache::FlushAll() {
 
   if (!cluster_writes_) {
     for (uint32_t bno : dirty) {
-      auto& block = blocks_[bno];
-      RETURN_IF_ERROR(write_(bno, 1, block->data));
-      block->dirty = false;
+      CacheBlock& block = *blocks_.at(bno).block;
+      RETURN_IF_ERROR(write_(bno, 1, block.data));
+      block.dirty = false;
     }
     return OkStatus();
   }
@@ -336,19 +322,19 @@ Status BufferCache::FlushAll() {
     }
     const uint32_t count = static_cast<uint32_t>(j - i);
     if (count == 1) {
-      auto& block = blocks_[dirty[i]];
-      RETURN_IF_ERROR(write_(dirty[i], 1, block->data));
-      block->dirty = false;
+      CacheBlock& block = *blocks_.at(dirty[i]).block;
+      RETURN_IF_ERROR(write_(dirty[i], 1, block.data));
+      block.dirty = false;
     } else {
       cluster.resize(static_cast<size_t>(count) * block_size_);
       for (uint32_t k = 0; k < count; ++k) {
-        auto& block = blocks_[dirty[i + k]];
-        std::copy(block->data.begin(), block->data.end(),
+        const CacheBlock& block = *blocks_.at(dirty[i + k]).block;
+        std::copy(block.data.begin(), block.data.end(),
                   cluster.begin() + static_cast<size_t>(k) * block_size_);
       }
       RETURN_IF_ERROR(write_(dirty[i], count, cluster));
       for (uint32_t k = 0; k < count; ++k) {
-        blocks_[dirty[i + k]]->dirty = false;
+        blocks_.at(dirty[i + k]).block->dirty = false;
       }
     }
     i = j;
@@ -361,12 +347,11 @@ Status BufferCache::InvalidateAll() {
     RETURN_IF_ERROR(CancelPending(pending_.begin()->first));
   }
   RETURN_IF_ERROR(FlushAll());
-  for (const auto& [bno, block] : blocks_) {
-    NoteDropped(*block);
+  for (const auto& [bno, entry] : blocks_) {
+    NoteDropped(*entry.block);
   }
   blocks_.clear();
   lru_.clear();
-  lru_pos_.clear();
   return OkStatus();
 }
 
@@ -376,13 +361,9 @@ void BufferCache::Discard(uint32_t bno) {
   if (it == blocks_.end()) {
     return;
   }
-  NoteDropped(*it->second);
+  NoteDropped(*it->second.block);
+  lru_.erase(it->second.lru);
   blocks_.erase(it);
-  auto pos = lru_pos_.find(bno);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-    lru_pos_.erase(pos);
-  }
 }
 
 }  // namespace ld

@@ -86,8 +86,8 @@ class BufferCache {
   // in-flight read of the same block is superseded (cancelled).
   void Insert(uint32_t bno, std::span<const uint8_t> data);
 
-  bool Contains(uint32_t bno) const { return blocks_.count(bno) != 0; }
-  bool Pending(uint32_t bno) const { return pending_.count(bno) != 0; }
+  bool Contains(uint32_t bno) const { return blocks_.contains(bno); }
+  bool Pending(uint32_t bno) const { return pending_.contains(bno); }
 
   void MarkDirty(const std::shared_ptr<CacheBlock>& block) { block->dirty = true; }
 
@@ -129,11 +129,21 @@ class BufferCache {
     bool prefetch = false;
   };
 
+  // A cached block and its position in lru_, found with one probe.
+  struct Entry {
+    std::shared_ptr<CacheBlock> block;
+    std::list<uint32_t>::iterator lru;
+  };
+
   Status EvictOne();
   // Writes the run of cached adjacent dirty blocks containing `bno` as one
   // request (FFS-style clustering on eviction).
   Status WriteClusterAround(uint32_t bno);
-  void Touch(uint32_t bno);
+  // Caches `block` as the most recently used block (it must be absent).
+  void Install(std::shared_ptr<CacheBlock> block);
+  // Makes `entry` the most recently used block. Moves the list node in
+  // place, so a hit allocates nothing.
+  void Touch(Entry& entry) { lru_.splice(lru_.begin(), lru_, entry.lru); }
   // Waits out a pending read and moves its data into the cache.
   StatusOr<std::shared_ptr<CacheBlock>> AdoptPending(uint32_t bno);
   // Waits out a pending read and drops its data (discard/overwrite/insert).
@@ -155,9 +165,8 @@ class BufferCache {
   bool cluster_writes_ = false;
   uint32_t max_cluster_blocks_ = 16;
 
-  std::unordered_map<uint32_t, std::shared_ptr<CacheBlock>> blocks_;
+  std::unordered_map<uint32_t, Entry> blocks_;
   std::list<uint32_t> lru_;  // Front = most recent.
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> lru_pos_;
   std::unordered_map<uint32_t, PendingRead> pending_;
 
   uint64_t hits_ = 0;

@@ -300,10 +300,11 @@ Status MinixFs::PutInode(uint32_t ino, const DiskInode& inode, bool structural) 
 }
 
 StatusOr<uint32_t> MinixFs::AllocInode() {
-  for (uint32_t ino = 1; ino <= sb_.num_inodes; ++ino) {
+  for (uint32_t ino = first_maybe_free_ino_; ino <= sb_.num_inodes; ++ino) {
     if (!inode_bitmap_[ino]) {
       inode_bitmap_[ino] = true;
       inode_bitmap_dirty_ = true;
+      first_maybe_free_ino_ = ino + 1;
       return ino;
     }
   }
@@ -316,6 +317,7 @@ Status MinixFs::FreeInode(uint32_t ino) {
   }
   inode_bitmap_[ino] = false;
   inode_bitmap_dirty_ = true;
+  first_maybe_free_ino_ = std::min(first_maybe_free_ino_, ino);
   if (backend_->small_inodes()) {
     inode_cache_.erase(ino);
   }
@@ -329,6 +331,7 @@ Status MinixFs::LoadInodeBitmap() {
     inode_bitmap_[i] = (buf[i / 8] & (1u << (i % 8))) != 0;
   }
   inode_bitmap_[0] = true;
+  first_maybe_free_ino_ = 1;
   return OkStatus();
 }
 

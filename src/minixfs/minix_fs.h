@@ -249,6 +249,16 @@ class MinixFs {
   Status FreeFileBlocks(DiskInode* inode, uint32_t from_idx);
 
   // ---- Directories -----------------------------------------------------------------
+  // A live directory entry: the cached block holding its slot, the slot's
+  // byte offset in that block, and the i-node it names.
+  struct DirSlot {
+    std::shared_ptr<CacheBlock> block;
+    size_t offset = 0;
+    uint32_t ino = 0;
+  };
+  // Finds the first live entry named `name` in `dir`, walking its blocks in
+  // order. The lookup and removal paths share this walk.
+  StatusOr<DirSlot> FindDirEntry(DiskInode* dir, const std::string& name);
   StatusOr<uint32_t> LookupDir(uint32_t dir_ino, const std::string& name);
   Status AddDirEntry(uint32_t dir_ino, const std::string& name, uint32_t ino);
   Status RemoveDirEntry(uint32_t dir_ino, const std::string& name);
@@ -284,6 +294,9 @@ class MinixFs {
 
   std::vector<bool> inode_bitmap_;
   bool inode_bitmap_dirty_ = false;
+  // No i-node numbered below this is free, so AllocInode starts its search
+  // here and still returns the lowest free number.
+  uint32_t first_maybe_free_ino_ = 1;
 
   // Small-i-node mode keeps a write-back i-node cache; each dirty i-node is
   // written individually as a 64-byte logical block on sync.

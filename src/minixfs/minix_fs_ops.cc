@@ -1,6 +1,7 @@
 // Path resolution, directories, and file I/O of the MINIX core.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/minixfs/minix_fs.h"
@@ -88,31 +89,74 @@ bool SlotNameEquals(const uint8_t* slot, const std::string& name) {
   return name.size() == kMinixNameMax || stored[name.size()] == '\0';
 }
 
+// A one-word necessary condition for SlotNameEquals: the first 8 bytes of a
+// slot's name field, masked to the bytes a match pins (the name's own bytes
+// and, for a name shorter than 8, its NUL), equal `expect`.
+struct NameFilter {
+  uint64_t mask = 0;
+  uint64_t expect = 0;
+
+  explicit NameFilter(const std::string& name) {
+    uint8_t mask_bytes[8] = {};
+    uint8_t expect_bytes[8] = {};
+    const size_t pinned = std::min<size_t>(name.size() + 1, 8);
+    std::memset(mask_bytes, 0xff, pinned);
+    std::memcpy(expect_bytes, name.data(), std::min<size_t>(name.size(), 8));
+    std::memcpy(&mask, mask_bytes, 8);
+    std::memcpy(&expect, expect_bytes, 8);
+  }
+
+  // Bit k set when slot k of the `lanes` (at most 8) slots at `first`
+  // passes the filter, live or not. Called with a constant 8, the loop
+  // compiles to straight-line code without branches.
+  uint32_t Candidates(const uint8_t* first, uint32_t lanes) const {
+    uint32_t bits = 0;
+    for (uint32_t k = 0; k < lanes; ++k) {
+      uint64_t head;
+      std::memcpy(&head, first + static_cast<size_t>(k) * kMinixDirEntrySize + 4, 8);
+      bits |= static_cast<uint32_t>((head & mask) == expect) << k;
+    }
+    return bits;
+  }
+};
+
 }  // namespace
+
+StatusOr<MinixFs::DirSlot> MinixFs::FindDirEntry(DiskInode* dir, const std::string& name) {
+  const NameFilter filter(name);
+  const uint32_t epb = sb_.DirEntriesPerBlock();
+  const uint32_t nblocks = (dir->size + sb_.block_size - 1) / sb_.block_size;
+  for (uint32_t b = 0; b < nblocks; ++b) {
+    ASSIGN_OR_RETURN(uint32_t bno, BMap(dir, b, /*alloc=*/false));
+    if (bno == 0) {
+      continue;
+    }
+    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
+    const uint8_t* base = block->data.data();
+    for (uint32_t e = 0; e < epb; e += 8) {
+      const uint8_t* group = base + static_cast<size_t>(e) * kMinixDirEntrySize;
+      uint32_t bits = epb - e >= 8 ? filter.Candidates(group, 8)
+                                   : filter.Candidates(group, epb - e);
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t offset =
+            static_cast<size_t>(e + std::countr_zero(bits)) * kMinixDirEntrySize;
+        const uint32_t ino = SlotIno(base + offset);
+        if (ino != 0 && SlotNameEquals(base + offset, name)) {
+          return DirSlot{std::move(block), offset, ino};
+        }
+      }
+    }
+  }
+  return NotFoundError("no such entry: " + name);
+}
 
 StatusOr<uint32_t> MinixFs::LookupDir(uint32_t dir_ino, const std::string& name) {
   ASSIGN_OR_RETURN(DiskInode dir, GetInode(dir_ino));
   if (dir.type != FileType::kDirectory) {
     return InvalidArgumentError("not a directory");
   }
-  const uint32_t epb = sb_.DirEntriesPerBlock();
-  const uint32_t nblocks = (dir.size + sb_.block_size - 1) / sb_.block_size;
-  for (uint32_t b = 0; b < nblocks; ++b) {
-    ASSIGN_OR_RETURN(uint32_t bno, BMap(&dir, b, /*alloc=*/false));
-    if (bno == 0) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
-    const uint8_t* base = block->data.data();
-    for (uint32_t e = 0; e < epb; ++e) {
-      const uint8_t* slot = base + static_cast<size_t>(e) * kMinixDirEntrySize;
-      const uint32_t ino = SlotIno(slot);
-      if (ino != 0 && SlotNameEquals(slot, name)) {
-        return ino;
-      }
-    }
-  }
-  return NotFoundError("no such entry: " + name);
+  ASSIGN_OR_RETURN(DirSlot slot, FindDirEntry(&dir, name));
+  return slot.ino;
 }
 
 Status MinixFs::AddDirEntry(uint32_t dir_ino, const std::string& name, uint32_t ino) {
@@ -155,25 +199,10 @@ Status MinixFs::AddDirEntry(uint32_t dir_ino, const std::string& name, uint32_t 
 
 Status MinixFs::RemoveDirEntry(uint32_t dir_ino, const std::string& name) {
   ASSIGN_OR_RETURN(DiskInode dir, GetInode(dir_ino));
-  const uint32_t epb = sb_.DirEntriesPerBlock();
-  const uint32_t nblocks = (dir.size + sb_.block_size - 1) / sb_.block_size;
-  for (uint32_t b = 0; b < nblocks; ++b) {
-    ASSIGN_OR_RETURN(uint32_t bno, BMap(&dir, b, /*alloc=*/false));
-    if (bno == 0) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
-    for (uint32_t e = 0; e < epb; ++e) {
-      const size_t off = static_cast<size_t>(e) * kMinixDirEntrySize;
-      const uint8_t* slot = block->data.data() + off;
-      if (SlotIno(slot) != 0 && SlotNameEquals(slot, name)) {
-        std::memset(block->data.data() + off, 0, kMinixDirEntrySize);
-        cache_->MarkDirty(block);
-        return MaybeSyncBlock(block);
-      }
-    }
-  }
-  return NotFoundError("no such entry: " + name);
+  ASSIGN_OR_RETURN(DirSlot slot, FindDirEntry(&dir, name));
+  std::memset(slot.block->data.data() + slot.offset, 0, kMinixDirEntrySize);
+  cache_->MarkDirty(slot.block);
+  return MaybeSyncBlock(slot.block);
 }
 
 StatusOr<bool> MinixFs::DirIsEmpty(uint32_t dir_ino) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "src/minixfs/buffer_cache.h"
 
@@ -32,8 +33,17 @@ struct Backing {
     };
   }
 
+  // The next write-back of this block fails (once) with an I/O error.
+  std::optional<uint32_t> fail_next_write_of;
+  std::vector<uint32_t> failed_writes;
+
   BufferCache::WriteFn Writer() {
     return [this](uint32_t bno, uint32_t count, std::span<const uint8_t> data) {
+      if (fail_next_write_of == bno) {
+        fail_next_write_of.reset();
+        failed_writes.push_back(bno);
+        return IoError("injected write-back failure");
+      }
       writes.emplace_back(bno, count);
       for (uint32_t i = 0; i < count; ++i) {
         blocks[bno + i] = std::vector<uint8_t>(
@@ -207,6 +217,85 @@ TEST(BufferCacheTest, InvalidateAllFlushesFirst) {
   // Next access re-reads.
   (void)cache.Get(1, true);
   EXPECT_EQ(backing.reads, 1u);
+}
+
+// Pins the exact LRU order through every path that moves a block: hits,
+// misses, Insert, Discard and a re-Get after it, GetAsync/Wait adoption, and
+// an eviction whose write-back fails once (the victim stays at the cold end)
+// before a retry. Each miss of a full cache evicts exactly the coldest block.
+TEST(BufferCacheTest, ExactLruOrderAcrossEveryPath) {
+  Backing backing;
+  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  std::vector<uint32_t> resident;
+  // The resident block that the last call evicted (or none).
+  const auto evicted = [&] {
+    std::vector<uint32_t> gone;
+    for (uint32_t bno : resident) {
+      if (!cache.Contains(bno)) {
+        gone.push_back(bno);
+      }
+    }
+    std::erase_if(resident, [&](uint32_t bno) { return !cache.Contains(bno); });
+    return gone;
+  };
+  const auto get = [&](uint32_t bno, bool load) {
+    auto block = cache.Get(bno, load);
+    if (block.ok() && std::find(resident.begin(), resident.end(), bno) == resident.end()) {
+      resident.push_back(bno);
+    }
+    return block.status();
+  };
+  using Evicted = std::vector<uint32_t>;
+
+  // LRU after the fill, most recent first: 8 7 6 5 4 3 2 1.
+  for (uint32_t bno = 1; bno <= 8; ++bno) {
+    ASSERT_TRUE(get(bno, false).ok());
+    if (bno % 2 == 0 || bno == 7) {
+      cache.MarkDirty(*cache.Get(bno, true));  // A hit: re-touches bno.
+    }
+  }
+  ASSERT_TRUE(get(3, true).ok());  // 3 8 7 6 5 4 2 1
+  ASSERT_TRUE(get(1, true).ok());  // 1 3 8 7 6 5 4 2
+  EXPECT_EQ(evicted(), Evicted{});
+  ASSERT_TRUE(get(20, true).ok());  // Miss: 20 1 3 8 7 6 5 4
+  EXPECT_EQ(evicted(), Evicted{2});
+  cache.Insert(21, std::vector<uint8_t>(512, 0x21));  // 21 20 1 3 8 7 6 5
+  resident.push_back(21);
+  EXPECT_EQ(evicted(), Evicted{4});
+  cache.Discard(8);  // 21 20 1 3 7 6 5
+  EXPECT_EQ(evicted(), Evicted{8});
+  ASSERT_TRUE(get(8, true).ok());  // Re-read, no eviction: 8 21 20 1 3 7 6 5
+  EXPECT_EQ(evicted(), Evicted{});
+  ASSERT_TRUE(cache.GetAsync(30, /*prefetch=*/true).ok());  // Not in the LRU yet.
+  EXPECT_EQ(evicted(), Evicted{});
+  ASSERT_TRUE(get(5, true).ok());  // 5 8 21 20 1 3 7 6
+  ASSERT_TRUE(cache.Wait(30).ok());  // Adoption: 30 5 8 21 20 1 3 7
+  resident.push_back(30);
+  EXPECT_EQ(evicted(), Evicted{6});
+
+  // The cold end is dirty block 7; its write-back fails once.
+  backing.fail_next_write_of = 7;
+  EXPECT_EQ(get(31, false).code(), ErrorCode::kIoError);
+  EXPECT_EQ(evicted(), Evicted{});
+  EXPECT_EQ(cache.size(), 8u);
+  ASSERT_TRUE(get(3, true).ok());   // 3 30 5 8 21 20 1 7
+  ASSERT_TRUE(get(31, false).ok());  // Retry evicts 7: 31 3 30 5 8 21 20 1
+  EXPECT_EQ(evicted(), Evicted{7});
+  cache.MarkDirty(*cache.Get(31, true));
+
+  // Drain: each new block evicts the coldest remaining one.
+  Evicted order;
+  for (uint32_t bno = 100; bno < 108; ++bno) {
+    ASSERT_TRUE(get(bno, false).ok());
+    const Evicted gone = evicted();
+    ASSERT_EQ(gone.size(), 1u) << bno;
+    order.push_back(gone[0]);
+  }
+  EXPECT_EQ(order, (Evicted{1, 20, 21, 8, 5, 30, 3, 31}));
+  EXPECT_EQ(backing.failed_writes, Evicted{7});
+  EXPECT_EQ(backing.writes, (std::vector<std::pair<uint32_t, uint32_t>>{
+                                {2, 1}, {4, 1}, {6, 1}, {7, 1}, {31, 1}}));
 }
 
 // --- Pending-read table ----------------------------------------------------

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/disk/mem_disk.h"
 #include "src/minixfs/minix_fs.h"
 #include "src/util/random.h"
@@ -184,6 +186,80 @@ TEST(MinixFsTest, LookupMatchesExactNamesOnly) {
   EXPECT_TRUE(rig.fs->OpenFile("/abc").ok());
 }
 
+// Directory lookups screen slots on their first 8 name bytes before the
+// exact compare; every name below must still resolve to exactly its own
+// entry through lookup, unlink and rename.
+TEST(MinixFsTest, NameFilterEdgeCases) {
+  Rig rig;
+  const std::vector<std::string> names = {
+      "a",                             // 1 byte.
+      "abcdefg",                       // 7: the NUL is the 8th filtered byte.
+      "abcdefgh",                      // 8: fills the filter word exactly.
+      "abcdefghi",                     // 9: passes the filter as a prefix of 10.
+      "abcdefgh1",                     // Shares an 8-byte prefix...
+      "abcdefgh2",                     // ...with these two.
+      "f1",  "f10", "f1x",             // Prefix/extension pairs.
+      std::string(58, 'n'),
+      std::string(kMinixNameMax, 'n'),  // The longest name: no stored NUL.
+      std::string(kMinixNameMax - 1, 'n') + "m",
+  };
+  std::map<std::string, uint32_t> inos;
+  for (const std::string& name : names) {
+    auto ino = rig.fs->CreateFile("/" + name);
+    ASSERT_TRUE(ino.ok()) << name << ": " << ino.status().ToString();
+    inos[name] = *ino;
+  }
+  const auto expect_all = [&] {
+    for (const auto& [name, ino] : inos) {
+      auto found = rig.fs->OpenFile("/" + name);
+      ASSERT_TRUE(found.ok()) << name;
+      EXPECT_EQ(*found, ino) << name;
+    }
+  };
+  expect_all();
+  for (const std::string& absent : std::vector<std::string>{
+           "ab", "abcdef", "abcdefgh3", "abcdefghij", "abcdefgh12", "f", "f100", "f1y",
+           std::string(57, 'n'), std::string(kMinixNameMax + 1, 'n')}) {
+    EXPECT_EQ(rig.fs->OpenFile("/" + absent).status().code(), ErrorCode::kNotFound) << absent;
+  }
+
+  // Unlink one of each confusable group; its neighbours are untouched.
+  for (const std::string& name :
+       std::vector<std::string>{"abcdefgh1", "f1", "abcdefg", std::string(58, 'n')}) {
+    ASSERT_TRUE(rig.fs->Unlink("/" + name).ok()) << name;
+    EXPECT_EQ(rig.fs->OpenFile("/" + name).status().code(), ErrorCode::kNotFound) << name;
+    inos.erase(name);
+    expect_all();
+  }
+
+  // Rename within a group: the moved entry keeps its i-node under the new
+  // name, and the entry it was confusable with stays put.
+  const uint32_t moved = inos["abcdefgh2"];
+  ASSERT_TRUE(rig.fs->Rename("/abcdefgh2", "/abcdefgh1").ok());
+  inos.erase("abcdefgh2");
+  inos["abcdefgh1"] = moved;
+  EXPECT_EQ(rig.fs->OpenFile("/abcdefgh2").status().code(), ErrorCode::kNotFound);
+  expect_all();
+  const uint32_t f10 = inos["f10"];
+  ASSERT_TRUE(rig.fs->Rename("/f10", "/f1").ok());
+  inos.erase("f10");
+  inos["f1"] = f10;
+  expect_all();
+
+  // A short name reuses the freed slot of a longer name it prefixes (the
+  // first free slot is the one the rename took "abcdefgh2" out of).
+  auto shorter = rig.fs->CreateFile("/abc");
+  ASSERT_TRUE(shorter.ok());
+  inos["abc"] = *shorter;
+  EXPECT_EQ(rig.fs->OpenFile("/abcdefgh2").status().code(), ErrorCode::kNotFound);
+  expect_all();
+
+  auto entries = rig.fs->ReadDir("/");
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), inos.size() + 2);  // Plus "." and "..".
+  EXPECT_TRUE(rig.fs->CheckConsistency().ok());
+}
+
 TEST(MinixFsTest, ManyFilesInOneDirectory) {
   Rig rig;
   for (int i = 0; i < 500; ++i) {
@@ -232,6 +308,39 @@ TEST(MinixFsTest, PersistsAcrossRemount) {
   EXPECT_TRUE(fs->OpenFile("/dir/nested").ok());
   // And the allocation state is consistent: creating new files still works.
   ASSERT_TRUE(fs->CreateFile("/after-remount").ok());
+}
+
+// New files take the lowest free i-node number, also after a remount
+// rebuilds the allocation state from the on-disk bitmap.
+TEST(MinixFsTest, CreateTakesLowestFreeInode) {
+  SimClock clock;
+  MemDisk disk(kDiskBytes / 512, 512, &clock);
+  MinixOptions options;
+  {
+    auto fs = *MinixFs::FormatClassic(&disk, options);
+    std::map<uint32_t, std::string> by_ino;
+    for (int i = 0; i < 10; ++i) {
+      const std::string path = "/f" + std::to_string(i);
+      auto ino = fs->CreateFile(path);
+      ASSERT_TRUE(ino.ok());
+      EXPECT_EQ(*ino, static_cast<uint32_t>(i) + 2);  // I-node 1 is the root.
+      by_ino[*ino] = path;
+    }
+    ASSERT_TRUE(fs->Unlink(by_ino[7]).ok());
+    ASSERT_TRUE(fs->Unlink(by_ino[3]).ok());
+    EXPECT_EQ(*fs->CreateFile("/g0"), 3u);
+    EXPECT_EQ(*fs->CreateFile("/g1"), 7u);
+    EXPECT_EQ(*fs->CreateFile("/g2"), 12u);
+    // Free two again and leave them free across the remount.
+    ASSERT_TRUE(fs->Unlink("/g1").ok());
+    ASSERT_TRUE(fs->Unlink("/g0").ok());
+    ASSERT_TRUE(fs->Shutdown().ok());
+  }
+  auto fs = *MinixFs::MountClassic(&disk, options);
+  EXPECT_EQ(*fs->CreateFile("/h0"), 3u);
+  EXPECT_EQ(*fs->CreateFile("/h1"), 7u);
+  EXPECT_EQ(*fs->CreateFile("/h2"), 13u);
+  EXPECT_TRUE(fs->CheckConsistency().ok());
 }
 
 TEST(MinixFsTest, CacheHitsOnRepeatedReads) {
