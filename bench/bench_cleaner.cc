@@ -90,15 +90,15 @@ StatusOr<SteadyState> RunSteadyState(const DeviceOptions& device_options,
   (void)unused;
   RETURN_IF_ERROR(lld->Flush());
 
-  const DiskStats& stats = disk->stats();
+  const LldCounters& c = lld->counters();
   SteadyState out;
-  out.waf = stats.Waf();
+  out.waf = Waf(c.user_bytes_written, disk->stats().total_bytes_written);
   out.user_mb_per_s = clock.Now() <= 0.0
                           ? 0.0
-                          : static_cast<double>(stats.user_bytes_written) /
+                          : static_cast<double>(c.user_bytes_written) /
                                 (1024.0 * 1024.0) / clock.Now();
-  out.segments_cleaned = lld->counters().segments_cleaned;
-  out.max_wear = stats.segment_wear_max;
+  out.segments_cleaned = c.segments_cleaned;
+  out.max_wear = c.segment_wear_max;
   return out;
 }
 

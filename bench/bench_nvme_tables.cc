@@ -232,7 +232,7 @@ bool Table6(std::vector<std::vector<DurableCosts>>* out) {
 struct ReadPhaseRun {
   double seq_elapsed = 0;          // One large file, sequential.
   double interleaved_elapsed = 0;  // Many files, round-robin sequential.
-  DiskStats stats;                 // After both read phases.
+  CacheCounters cache;             // After both read phases.
 };
 
 StatusOr<ReadPhaseRun> RunReadPhase(FsKind kind, uint32_t channels, bool async, bool readahead) {
@@ -280,7 +280,7 @@ StatusOr<ReadPhaseRun> RunReadPhase(FsKind kind, uint32_t channels, bool async, 
     }
   }
   r.interleaved_elapsed = fut.clock->Now() - mark;
-  r.stats = fut.disk->stats();
+  r.cache = fut.fs->cache().counters();
   return r;
 }
 
@@ -315,8 +315,8 @@ bool ReadPhase() {
     }
   }
   t.Print();
-  PrintReadPathStats("MINIX LLD 4ch async+RA", lld_async4->stats);
-  PrintReadPathStats("MINIX 4ch async+RA", minix_async4->stats);
+  PrintReadPathStats("MINIX LLD 4ch async+RA", lld_async4->cache);
+  PrintReadPathStats("MINIX 4ch async+RA", minix_async4->cache);
   auto check = [](const char* claim, bool ok) {
     std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
     return ok;

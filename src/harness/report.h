@@ -8,8 +8,10 @@
 #include <string>
 
 #include "src/disk/block_device.h"
+#include "src/lld/lld.h"
 #include "src/lld/lld_maintenance.h"
 #include "src/lld/reports.h"
+#include "src/minixfs/buffer_cache.h"
 
 namespace ld {
 
@@ -26,16 +28,25 @@ std::string Compare(double measured, double paper, const std::string& unit, int 
 // service. `label` names the configuration the stats belong to.
 void PrintDiskQueueStats(const std::string& label, const DiskStats& stats);
 
+// Write amplification factor: bytes the media absorbed per user payload
+// byte, the figure a flash translation layer would report; 0 before any
+// user byte. It can dip below 1 legitimately: compression shrinks the
+// stored form, NVRAM absorbs partial flushes, and user bytes sit in the open
+// segment until a seal.
+double Waf(uint64_t user_bytes, uint64_t media_bytes);
+
 // Prints one line of device-health counters: requests that failed at the
 // device, extra attempts issued by the ReliableIo retry shim, and requests
-// that succeeded only after retrying. All zeros on a fault-free run.
-void PrintDiskHealthStats(const std::string& label, const DiskStats& stats);
+// that succeeded only after retrying. All zeros on a fault-free run. When
+// the media absorbed any writes, a second line adds write amplification and
+// wear from `ld`, the LD's counters over the same window as `stats`.
+void PrintDiskHealthStats(const std::string& label, const DiskStats& stats,
+                          const LldCounters& ld);
 
-// Prints one line of buffer-cache read-path counters mirrored into the
-// device's DiskStats: lookups served from cache vs. from the device, demand
-// lookups absorbed by a read-ahead fill, and read-ahead fills that were
-// dropped without ever being referenced.
-void PrintReadPathStats(const std::string& label, const DiskStats& stats);
+// Prints one line of buffer-cache read-path counters: lookups served from
+// cache vs. from the device, demand lookups absorbed by a read-ahead fill,
+// and read-ahead fills that were dropped without ever being referenced.
+void PrintReadPathStats(const std::string& label, const CacheCounters& cache);
 
 // Prints one line per tenant from the shared device's per-tenant
 // accounting: ops, bytes moved, mean queue wait, read-latency p50/p99, and

@@ -168,8 +168,6 @@ class LogicalDisk {
   virtual bool degraded() const { return false; }
 
   // Health/queue counters of the device under this LD, when there is one.
-  // Lets clients (the MINIX buffer cache) publish their own counters next to
-  // the device's without knowing the implementation.
   virtual DiskStats* device_stats() { return nullptr; }
 
   // Labels this LD instance's device requests with a tenant session id so a

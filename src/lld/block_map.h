@@ -46,8 +46,8 @@ struct BlockMapEntry {
 
   // 24-bit payload checksum (PayloadCrc of the stored bytes), mirrored from
   // the block's summary record so reads can verify without touching the
-  // summary. Entries written before the checksum format extension have
-  // has_payload_crc == false.
+  // summary. has_payload_crc stays false until the block's first write;
+  // every on-disk copy carries a checksum.
   uint32_t payload_crc = 0;
   bool has_payload_crc = false;
 

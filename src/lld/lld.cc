@@ -173,9 +173,6 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Format(
     BlockDevice* device, const LldOptions& options) {
   std::unique_ptr<LogStructuredDisk> lld(new LogStructuredDisk(device, options));
   RETURN_IF_ERROR(lld->ComputeLayout());
-  if (DiskStats* ds = device->mutable_stats()) {
-    ds->ResetWearAccounting();  // Wear tracking is per LD session.
-  }
   RETURN_IF_ERROR(lld->WriteSuperblock());
   RETURN_IF_ERROR(lld->InvalidateCheckpoint());
   // Erase stale summaries so a reformat never resurrects old metadata.
@@ -200,11 +197,6 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Open(
   std::unique_ptr<LogStructuredDisk> lld(new LogStructuredDisk(device, options));
   RETURN_IF_ERROR(lld->ReadAndCheckSuperblock());
   RETURN_IF_ERROR(lld->RecoverState());
-  // Wear tracking is session-scoped (SegmentUsage::wear starts at zero in the
-  // fresh usage table), so the device-side mirror restarts with it.
-  if (DiskStats* ds = device->mutable_stats()) {
-    ds->ResetWearAccounting();
-  }
   return lld;
 }
 
@@ -258,9 +250,8 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   // the scrubber can re-hash straight off the media.
   const uint32_t payload_crc = PayloadCrc(stored);
   SummaryRecord record =
-      SummaryRecord::BlockEntry(ts, bid, entry.list, offset, static_cast<uint32_t>(stored.size()),
-                                orig_size, compressed, /*ends_aru=*/true, payload_crc,
-                                /*has_payload_crc=*/true);
+      SummaryRecord::BlockEntry(ts, bid, offset, static_cast<uint32_t>(stored.size()), orig_size,
+                                compressed, /*ends_aru=*/true, payload_crc);
   if (!internal && InAru()) {
     record.aru_id = current_aru_;
     record.ends_aru = false;
@@ -612,9 +603,7 @@ void LogStructuredDisk::NoteSegmentImageWrite(uint32_t segment) {
   SegmentUsage& seg = usage_->segment(segment);
   seg.wear++;
   counters_.segment_images_written++;
-  if (DiskStats* ds = device_->mutable_stats()) {
-    ds->NoteSegmentWear(seg.wear);
-  }
+  counters_.segment_wear_max = std::max<uint64_t>(counters_.segment_wear_max, seg.wear);
 }
 
 void LogStructuredDisk::UpdateRecordAuthority(uint32_t segment,
@@ -1059,12 +1048,6 @@ Status LogStructuredDisk::Write(Bid bid, std::span<const uint8_t> data) {
   }
   counters_.user_writes++;
   counters_.user_bytes_written += data.size();
-  // Mirrored into the device stats so Waf() — total media bytes over user
-  // payload bytes — reads off one struct (same pattern as the buffer-cache
-  // counters).
-  if (DiskStats* ds = device_->mutable_stats()) {
-    ds->user_bytes_written += data.size();
-  }
 
   bool compress = false;
   if (options_.compressor != nullptr && list_table_.IsAllocated(entry->list)) {

@@ -62,9 +62,11 @@ struct LldCounters {
   // Segment images programmed onto the media this session: full seals,
   // partial (scratch) flushes, cleaner output, stripe parity images, and
   // rebuild re-materializations. Each bumps exactly one segment's wear count
-  // (see SegmentUsage::wear), so this equals the usage table's total wear —
-  // the invariant the wear-histogram property tests check.
+  // (see SegmentUsage::wear), so until a ResetCounters() this equals the
+  // usage table's total wear, the weighted sum of UsageTable::WearHistogram.
   uint64_t segment_images_written = 0;
+  // Highest wear count a segment reached through a program counted above.
+  uint64_t segment_wear_max = 0;
   // Cleaner-written (cold-generation) segment images, a subset of the above.
   uint64_t cold_segments_written = 0;
   uint64_t flushes = 0;
@@ -85,11 +87,16 @@ struct LldCounters {
   // (cleaner countermand, scrub retirement, rebuild double fault).
   uint64_t stripes_formed = 0;
   uint64_t stripes_dissolved = 0;
+  // Segments re-materialized by Rebuild (members and parity images).
+  uint64_t rebuild_segments_done = 0;
   // Incremental checkpointing: frames committed to the A/B region (base +
   // delta), and rebases (chain compacted into a fresh base in the other slot
   // because the active slot filled up).
   uint64_t checkpoint_frames_written = 0;
   uint64_t checkpoint_rebases = 0;
+  // Base frames that outgrew their A/B slot and were skipped with a typed
+  // NO_SPACE (the next open falls back to log recovery).
+  uint64_t checkpoints_skipped_oversize = 0;
 };
 
 // In-memory footprint of LLD's data structures (paper Table 2).
@@ -428,8 +435,8 @@ class LogStructuredDisk : public LogicalDisk {
   // Shared guard for every mutating entry point.
   Status CheckWritable() const;
   // Wear accounting: a full or partial segment image was programmed into
-  // `segment`. Bumps the segment's wear count and mirrors it into the
-  // device's wear histogram (flash erase/rewrite accounting).
+  // `segment`. Bumps the segment's wear count and the session's image and
+  // max-wear counters (flash erase/rewrite accounting).
   void NoteSegmentImageWrite(uint32_t segment);
   // Charges (de)compression CPU time to the simulated clock.
   void ChargeCompressCpu(uint64_t bytes);
@@ -562,7 +569,6 @@ class LogStructuredDisk : public LogicalDisk {
     // copy stay detectably corrupt instead of being laundered into a fresh
     // valid checksum.
     uint32_t payload_crc = 0;
-    bool has_payload_crc = false;
   };
   // Live state harvested from one or more victim segments: current copies of
   // data blocks plus metadata records that must survive the segment's reuse
@@ -654,8 +660,8 @@ class LogStructuredDisk : public LogicalDisk {
   // Clean-shutdown checkpoint: a base frame in the inactive slot. With
   // incremental checkpointing off this is the only checkpoint ever written.
   // Returns a typed NO_SPACE ("checkpoint oversize") when the encoded
-  // payload outgrows the slot — observable via
-  // DiskStats::checkpoints_skipped_oversize, never just a WARN line.
+  // payload outgrows the slot — counted in
+  // LldCounters::checkpoints_skipped_oversize, never just a WARN line.
   Status WriteCheckpoint() { return WriteBaseFrame(/*clean=*/true); }
   Status WriteBaseFrame(bool clean);
   // Appends a delta frame covering ckpt_pending_ to the active slot (or

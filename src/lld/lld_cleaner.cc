@@ -132,7 +132,6 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       // Checksums travel verbatim with the bytes: recomputing one here would
       // launder any corruption picked up since the block was written.
       b.payload_crc = r->payload_crc;
-      b.has_payload_crc = r->has_payload_crc;
       counters_.cleaner_bytes_copied += r->stored_size;
       pending->slices.push_back({batch->blocks.size(), r->offset, r->stored_size});
       batch->blocks.push_back(b);
@@ -479,7 +478,7 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
       e.phys = PhysAddr{static_cast<uint32_t>(target), r.offset};
       e.write_ts = r.ts;
       e.payload_crc = r.payload_crc;
-      e.has_payload_crc = r.has_payload_crc;
+      e.has_payload_crc = true;
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.stored_size, r.ts, age);
     }
     // Frames cover cleaner-written segments like foreground ones; the next
@@ -546,9 +545,8 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
     c.image_head = used;
     image_max_stored = std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
     SummaryRecord entry = SummaryRecord::BlockEntry(
-        NextTs(), b.bid, block_map_.entry(b.bid).list, offset,
-        static_cast<uint32_t>(b.stored.size()), b.orig_size, b.compressed, /*ends_aru=*/true,
-        b.payload_crc, b.has_payload_crc);
+        NextTs(), b.bid, offset, static_cast<uint32_t>(b.stored.size()), b.orig_size,
+        b.compressed, /*ends_aru=*/true, b.payload_crc);
     if (b.aru_id != 0) {
       entry.aru_id = b.aru_id;
       entry.ends_aru = false;
@@ -796,7 +794,6 @@ Status LogStructuredDisk::ReadIntoBatch(const std::vector<Bid>& bids, CleanerBat
     b.orig_size = e.size_class;
     b.compressed = e.compressed;
     b.payload_crc = e.payload_crc;
-    b.has_payload_crc = e.has_payload_crc;
     b.stored = std::span<uint8_t>(batch->arena).subspan(at, e.stored_size);
     at += e.stored_size;
     RETURN_IF_ERROR(ReadStored(e, b.stored));

@@ -42,12 +42,9 @@ namespace ld {
 
 namespace {
 
-// "LDC3": bumped from "LDC2" when the single-marker checkpoint region became
-// the A/B slot pair with framed payloads. An old marker reads as *absent*
-// (not rotted): the volume opens via log recovery, which handles every
-// record layout.
+// "LDC3": the A/B slot marker. Any other non-blank marker is foreign
+// content and goes down the fallback ladder.
 constexpr uint32_t kSlotMagic = 0x4c444333;
-constexpr uint32_t kLegacyCheckpointMagic = 0x4c444332;
 
 // "LDCF": frame header magic.
 constexpr uint32_t kFrameMagic = 0x4c444346;
@@ -79,8 +76,8 @@ void EncodeMarker(const SlotMarker& m, uint32_t sector, std::vector<uint8_t>* ou
   out->resize(sector, 0);
 }
 
-// kAbsent covers blank media, legacy-format markers, and explicitly
-// invalidated slots — shapes where "no checkpoint" is the truthful answer.
+// kAbsent covers blank media and explicitly invalidated slots — shapes where
+// "no checkpoint" is the truthful answer.
 // kRejected means the sector holds damaged content: that is rot, and it
 // must surface on the fallback ladder instead of masquerading as absence.
 enum class MarkerState { kValid, kAbsent, kRejected };
@@ -101,10 +98,7 @@ MarkerState ParseMarker(std::span<const uint8_t> buf, SlotMarker* m) {
   if (magic != kSlotMagic) {
     const bool all_zero =
         std::all_of(buf.begin(), buf.end(), [](uint8_t b) { return b == 0; });
-    if (all_zero || magic == kLegacyCheckpointMagic) {
-      return MarkerState::kAbsent;
-    }
-    return MarkerState::kRejected;
+    return all_zero ? MarkerState::kAbsent : MarkerState::kRejected;
   }
   if (crc != Crc32(buf.subspan(0, crc_end))) {
     return MarkerState::kRejected;
@@ -504,7 +498,7 @@ Status LogStructuredDisk::WriteBaseFrame(bool clean) {
   std::vector<uint8_t> frame = BuildFrame(kFrameBase, generation, 0, covered, body, sector);
   const uint64_t capacity = CheckpointSlotBytes() - sector;
   if (frame.size() > capacity) {
-    device_->mutable_stats()->checkpoints_skipped_oversize++;
+    counters_.checkpoints_skipped_oversize++;
     const std::string msg = "checkpoint oversize: base frame of " +
                             std::to_string(frame.size()) + " bytes exceeds the " +
                             std::to_string(capacity) + "-byte slot";
@@ -942,8 +936,7 @@ Status LogStructuredDisk::RecoverState() {
     // the open itself still succeeds (log recovery covers the session).
   }
 
-  last_recovery_.checkpoints_skipped_oversize =
-      device_->mutable_stats()->checkpoints_skipped_oversize;
+  last_recovery_.checkpoints_skipped_oversize = counters_.checkpoints_skipped_oversize;
   last_recovery_.live_blocks = block_map_.allocated_count();
   last_recovery_.seconds = device_->clock()->Now() - start;
   return OkStatus();
@@ -1538,19 +1531,15 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           break;
         }
         case SummaryRecordType::kBlockEntry: {
+          // The entry's list comes from its kBlockAlloc record.
           BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
-          if (!r.has_payload_crc) {
-            // CRC-bearing entries store the checksum where the legacy
-            // layout kept the list id; the list comes from kBlockAlloc.
-            e.list = r.lid;
-          }
           e.size_class = r.orig_size;
           e.phys = PhysAddr{seg.index, r.offset};
           e.stored_size = r.stored_size;
           e.compressed = r.compressed;
           e.write_ts = r.ts;
           e.payload_crc = r.payload_crc;
-          e.has_payload_crc = r.has_payload_crc;
+          e.has_payload_crc = true;
           break;
         }
         case SummaryRecordType::kLinkTuple: {

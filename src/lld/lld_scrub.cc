@@ -241,7 +241,6 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     b.orig_size = e.size_class;
     b.compressed = e.compressed;
     b.payload_crc = e.payload_crc;
-    b.has_payload_crc = e.has_payload_crc;
     const uint64_t at = batch.arena.size();
     batch.arena.resize(at + e.stored_size);
     b.stored = std::span<uint8_t>(batch.arena).subspan(at);
@@ -284,7 +283,6 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
           // resurrecting garbage.
           std::fill(b.stored.begin(), b.stored.end(), 0);
           b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
-          b.has_payload_crc = true;
         }
       } else {
         // Carried verbatim (bytes and original CRC): relocation must never

@@ -536,10 +536,6 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
                            ": stripe reconstruction failed its payload crc (double fault)");
   }
   counters_.blocks_stripe_reconstructed++;
-  if (DiskStats* stats = device_->mutable_stats()) {
-    stats->degraded_reads++;
-    stats->stripe_reconstructions++;
-  }
   LD_LOG(kInfo) << "reconstructed block " << bid << " from the stripe peers of segment "
                 << entry.phys.segment;
   return OkStatus();
@@ -649,9 +645,6 @@ void LogStructuredDisk::InstallChannelFilter() {
 void LogStructuredDisk::EnqueueRebuild(uint32_t segment) {
   if (rebuild_queued_.insert(segment).second) {
     rebuild_pending_.push_back(segment);
-    if (DiskStats* stats = device_->mutable_stats()) {
-      stats->rebuild_segments_pending = rebuild_pending_.size();
-    }
   }
 }
 
@@ -849,11 +842,7 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
     EnqueueRebuild(seg);
   }
   report.segments_pending = static_cast<uint32_t>(rebuild_pending_.size());
-  if (DiskStats* stats = device_->mutable_stats()) {
-    stats->rebuild_segments_pending = rebuild_pending_.size();
-    stats->rebuild_segments_done +=
-        report.segments_rebuilt + report.parity_rebuilt - done_before;
-  }
+  counters_.rebuild_segments_done += report.segments_rebuilt + report.parity_rebuilt - done_before;
   device_->set_request_tenant(options_.tenant);
   report.seconds += device_->clock()->Now() - start;
   rebuild_cycle_active_ = !rebuild_pending_.empty();

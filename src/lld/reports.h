@@ -87,9 +87,9 @@ struct RecoveryReport {
   bool parallel_scan = false;
   uint32_t scan_channels = 1;
 
-  // Mirrors DiskStats::checkpoints_skipped_oversize at recovery time: how
-  // often a checkpoint payload outgrew its slot and was skipped (typed,
-  // never a silent WARN).
+  // Base frames this instance skipped during the open because they outgrew
+  // their slot (LldCounters::checkpoints_skipped_oversize; typed, never a
+  // silent WARN).
   uint64_t checkpoints_skipped_oversize = 0;
 
   std::string ToString() const;

@@ -13,9 +13,9 @@ constexpr uint8_t kFlagCompressed = 0x02;
 constexpr uint8_t kFlagCluster = 0x04;
 constexpr uint8_t kFlagCompressList = 0x08;
 constexpr uint8_t kFlagInterlist = 0x10;
-// Format extension: the record carries a 24-bit payload checksum in place of
-// the owning-list id (kBlockEntry only). Records written before the
-// extension have the bit clear and decode with has_payload_crc == false.
+// Set on every kBlockEntry: the record carries a 24-bit payload checksum. A
+// block entry without it is not a layout this codec writes, so it decodes
+// as CORRUPTION.
 constexpr uint8_t kFlagPayloadCrc = 0x20;
 
 }  // namespace
@@ -24,22 +24,19 @@ uint32_t PayloadCrc(std::span<const uint8_t> bytes) {
   return Crc32Final(Crc32Update(Crc32Init(), bytes)) & 0xffffffu;
 }
 
-SummaryRecord SummaryRecord::BlockEntry(OpTimestamp ts, Bid bid, Lid lid, uint32_t offset,
+SummaryRecord SummaryRecord::BlockEntry(OpTimestamp ts, Bid bid, uint32_t offset,
                                         uint32_t stored_size, uint32_t orig_size, bool compressed,
-                                        bool ends_aru, uint32_t payload_crc,
-                                        bool has_payload_crc) {
+                                        bool ends_aru, uint32_t payload_crc) {
   SummaryRecord r;
   r.type = SummaryRecordType::kBlockEntry;
   r.ts = ts;
   r.ends_aru = ends_aru;
   r.bid = bid;
-  r.lid = lid;
   r.offset = offset;
   r.stored_size = stored_size;
   r.orig_size = orig_size;
   r.compressed = compressed;
   r.payload_crc = payload_crc;
-  r.has_payload_crc = has_payload_crc;
   return r;
 }
 
@@ -140,7 +137,6 @@ SummaryRecord SummaryRecord::SegmentParity(OpTimestamp ts, uint32_t offset,
   r.stored_size = parity_bytes;
   r.orig_size = covered_bytes;
   r.payload_crc = parity_crc;
-  r.has_payload_crc = true;
   return r;
 }
 
@@ -168,7 +164,6 @@ SummaryRecord SummaryRecord::StripeParity(OpTimestamp ts, uint32_t parity_segmen
   r.orig_size = member_count;
   r.intent_seq = member_seq;
   r.payload_crc = parity_crc;
-  r.has_payload_crc = true;
   return r;
 }
 
@@ -191,7 +186,7 @@ void SummaryRecord::EncodeTo(Encoder* enc) const {
   if (hints.interlist_cluster) {
     flags |= kFlagInterlist;
   }
-  if (type == SummaryRecordType::kBlockEntry && has_payload_crc) {
+  if (type == SummaryRecordType::kBlockEntry) {
     flags |= kFlagPayloadCrc;
   }
   enc->PutU8(flags);
@@ -199,15 +194,10 @@ void SummaryRecord::EncodeTo(Encoder* enc) const {
   switch (type) {
     case SummaryRecordType::kBlockEntry:
       enc->PutU24(bid);
-      if (!has_payload_crc) {
-        enc->PutU24(lid);  // Legacy layout: list id instead of checksum.
-      }
       enc->PutU24(offset);
       enc->PutU16(static_cast<uint16_t>(stored_size));
       enc->PutU16(static_cast<uint16_t>(orig_size));
-      if (has_payload_crc) {
-        enc->PutU24(payload_crc);
-      }
+      enc->PutU24(payload_crc);
       break;
     case SummaryRecordType::kLinkTuple:
       enc->PutU24(bid);
@@ -272,18 +262,15 @@ StatusOr<SummaryRecord> SummaryRecord::DecodeFrom(Decoder* dec) {
   r.aru_id = dec->GetU24();
   switch (static_cast<SummaryRecordType>(type)) {
     case SummaryRecordType::kBlockEntry:
+      if ((flags & kFlagPayloadCrc) == 0) {
+        return CorruptionError("block entry without a payload checksum");
+      }
       r.type = SummaryRecordType::kBlockEntry;
       r.bid = dec->GetU24();
-      if ((flags & kFlagPayloadCrc) == 0) {
-        r.lid = dec->GetU24();
-      }
       r.offset = dec->GetU24();
       r.stored_size = dec->GetU16();
       r.orig_size = dec->GetU16();
-      if ((flags & kFlagPayloadCrc) != 0) {
-        r.payload_crc = dec->GetU24();
-        r.has_payload_crc = true;
-      }
+      r.payload_crc = dec->GetU24();
       break;
     case SummaryRecordType::kLinkTuple:
       r.type = SummaryRecordType::kLinkTuple;
@@ -328,7 +315,6 @@ StatusOr<SummaryRecord> SummaryRecord::DecodeFrom(Decoder* dec) {
       r.stored_size = dec->GetU24();
       r.orig_size = dec->GetU24();
       r.payload_crc = dec->GetU24();
-      r.has_payload_crc = true;
       break;
     case SummaryRecordType::kScrubIntent:
       r.type = SummaryRecordType::kScrubIntent;
@@ -343,7 +329,6 @@ StatusOr<SummaryRecord> SummaryRecord::DecodeFrom(Decoder* dec) {
       r.orig_size = dec->GetU16();
       r.intent_seq = dec->GetU48();
       r.payload_crc = dec->GetU24();
-      r.has_payload_crc = true;
       break;
     default:
       return CorruptionError("unknown summary record type " + std::to_string(type));
@@ -356,9 +341,7 @@ size_t SummaryRecord::EncodedSize() const {
   constexpr size_t kCommon = 1 + 6 + 1 + 3;  // type + ts + flags + aru_id
   switch (type) {
     case SummaryRecordType::kBlockEntry:
-      // bid + (lid | crc24) + offset + stored + orig: both layouts are the
-      // same size, so checksummed logs pack exactly like legacy ones.
-      return kCommon + 3 + 3 + 3 + 2 + 2;
+      return kCommon + 3 + 3 + 2 + 2 + 3;  // bid + offset + stored + orig + crc24
     case SummaryRecordType::kLinkTuple:
     case SummaryRecordType::kListHead:
     case SummaryRecordType::kListCreate:

@@ -35,7 +35,7 @@ enum class SummaryRecordType : uint8_t {
   kStripeParity = 12,   // Cross-channel stripe membership (one per member).
 };
 
-// The 24-bit payload checksum stored in CRC-bearing block entries.
+// The 24-bit payload checksum stored in every block entry.
 uint32_t PayloadCrc(std::span<const uint8_t> bytes);
 
 struct SummaryRecord {
@@ -57,19 +57,14 @@ struct SummaryRecord {
   uint32_t stored_size = 0;  // Bytes on disk.
   uint32_t orig_size = 0;    // Logical size class.
   bool compressed = false;
-  Lid lid = kNilLid;         // Owning list (kBlockEntry / kListCreate / ...).
+  Lid lid = kNilLid;         // Owning list (kBlockAlloc / kListCreate / ...).
 
-  // 24-bit payload checksum (truncated CRC32 of the stored bytes — the
-  // compressed form if compressed). CRC-bearing entries reuse the three
-  // bytes the owning-list id occupied in the legacy layout (recovery takes
-  // the list from the block's kBlockAlloc record instead), so both layouts
-  // encode to the same 24 bytes and segment packing is unchanged. Entries
-  // written before the checksum format extension decode with
-  // has_payload_crc == false and are simply not verifiable. Relocation
-  // (cleaner, scrub) carries the original CRC verbatim so silent corruption
-  // can never be laundered into a fresh valid checksum.
+  // kBlockEntry: 24-bit payload checksum (truncated CRC32 of the stored
+  // bytes — the compressed form if compressed). A block entry does not name
+  // its list; recovery takes the list from the block's kBlockAlloc record.
+  // Relocation (cleaner, scrub) carries the original CRC verbatim so silent
+  // corruption can never be laundered into a fresh valid checksum.
   uint32_t payload_crc = 0;
-  bool has_payload_crc = false;
 
   // kLinkTuple: successor of `bid` becomes `link_to`.
   // kListHead:  first block of `lid` becomes `link_to`.
@@ -101,10 +96,9 @@ struct SummaryRecord {
   ListHints hints;
   Lid lol_next = kNilLid;    // Position in the list of lists (successor).
 
-  static SummaryRecord BlockEntry(OpTimestamp ts, Bid bid, Lid lid, uint32_t offset,
+  static SummaryRecord BlockEntry(OpTimestamp ts, Bid bid, uint32_t offset,
                                   uint32_t stored_size, uint32_t orig_size, bool compressed,
-                                  bool ends_aru, uint32_t payload_crc = 0,
-                                  bool has_payload_crc = false);
+                                  bool ends_aru, uint32_t payload_crc);
   static SummaryRecord LinkTuple(OpTimestamp ts, Bid bid, Bid new_successor, bool ends_aru);
   static SummaryRecord ListHead(OpTimestamp ts, Lid lid, Bid new_first, bool ends_aru);
   static SummaryRecord ListCreate(OpTimestamp ts, Lid lid, ListHints hints, Lid lol_next,

@@ -1,5 +1,6 @@
 #include "src/lld/usage_table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ld {
@@ -24,6 +25,16 @@ void UsageTable::RemoveLive(uint32_t index, uint32_t bytes) {
   SegmentUsage& s = segments_[index];
   assert(s.live_bytes() >= bytes);
   StoreLive(s, s.live_bytes() - bytes);
+}
+
+std::array<uint64_t, UsageTable::kWearBuckets> UsageTable::WearHistogram() const {
+  std::array<uint64_t, kWearBuckets> histogram{};
+  for (const SegmentUsage& s : segments_) {
+    if (s.wear > 0) {
+      histogram[std::min<size_t>(s.wear, kWearBuckets) - 1]++;
+    }
+  }
+  return histogram;
 }
 
 uint32_t UsageTable::FreeCount() const {

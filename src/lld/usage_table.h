@@ -6,6 +6,8 @@
 #ifndef SRC_LLD_USAGE_TABLE_H_
 #define SRC_LLD_USAGE_TABLE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,7 +57,7 @@ class SegmentUsage {
 
   // Erase/rewrite wear: full or partial segment images programmed into this
   // physical segment. In-memory and session-scoped (recovery restarts the
-  // count); mirrored into DiskStats' wear histogram by the LD layer.
+  // count); UsageTable::WearHistogram summarizes it across the volume.
   uint32_t wear = 0;
 
   // Shadow pins: copies in this segment that are dead in the in-memory map
@@ -111,6 +113,13 @@ class UsageTable {
   void SetLive(uint32_t index, uint32_t bytes) { StoreLive(segments_[index], bytes); }
 
   uint32_t FreeCount() const;
+
+  // Segments by wear count: bucket i holds the segments at wear i+1, and the
+  // last bucket absorbs everything >= kWearBuckets. Never-programmed
+  // segments are not counted, so while no segment has passed the last
+  // bucket the weighted sum (i+1) * bucket[i] is the total wear.
+  static constexpr size_t kWearBuckets = 16;
+  std::array<uint64_t, kWearBuckets> WearHistogram() const;
   // Sum of every segment's live bytes, kept as a running total.
   uint64_t TotalLiveBytes() const { return total_live_bytes_; }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/disk/block_device.h"
-
 namespace ld {
 
 BufferCache::BufferCache(uint32_t block_size, uint32_t capacity_blocks, ReadFn read, WriteFn write)
@@ -17,54 +15,9 @@ void BufferCache::SetAsyncBackend(SubmitFn submit, WaitFn wait) {
   wait_ = std::move(wait);
 }
 
-void BufferCache::ResetCounters() {
-  hits_ = 0;
-  misses_ = 0;
-  prefetch_hits_ = 0;
-  prefetch_issued_ = 0;
-  prefetch_wasted_ = 0;
-  coalesced_reads_ = 0;
-  // Keep the mirrored counters consistent no matter whether the device's own
-  // ResetStats runs before, after, or not at all.
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_hits = 0;
-    device_stats_->cache_misses = 0;
-    device_stats_->prefetch_hits = 0;
-    device_stats_->prefetch_wasted = 0;
-  }
-}
-
-void BufferCache::BumpHit() {
-  hits_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_hits++;
-  }
-}
-
-void BufferCache::BumpMiss() {
-  misses_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_misses++;
-  }
-}
-
-void BufferCache::BumpPrefetchHit() {
-  prefetch_hits_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->prefetch_hits++;
-  }
-}
-
-void BufferCache::BumpPrefetchWasted() {
-  prefetch_wasted_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->prefetch_wasted++;
-  }
-}
-
 void BufferCache::NoteDropped(const CacheBlock& block) {
   if (block.prefetched && !block.referenced) {
-    BumpPrefetchWasted();
+    counters_.prefetch_wasted++;
   }
 }
 
@@ -142,7 +95,7 @@ Status BufferCache::CancelPending(uint32_t bno) {
   const bool was_prefetch = it->second.prefetch;
   pending_.erase(it);
   if (was_prefetch) {
-    BumpPrefetchWasted();
+    counters_.prefetch_wasted++;
   }
   // The device already did (or scheduled) the transfer; waiting it out
   // charges that cost even though the bytes die here. A completion must
@@ -176,10 +129,10 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) {
   auto it = blocks_.find(bno);
   if (it != blocks_.end()) {
-    BumpHit();
+    counters_.hits++;
     CacheBlock& block = *it->second.block;
     if (block.prefetched && !block.referenced) {
-      BumpPrefetchHit();
+      counters_.prefetch_hits++;
     }
     block.referenced = true;
     Touch(it->second);
@@ -193,17 +146,17 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
       auto adopted = AdoptPending(bno);
       if (adopted.ok()) {
         if (adopted.value()->prefetched) {
-          BumpHit();
-          BumpPrefetchHit();
+          counters_.hits++;
+          counters_.prefetch_hits++;
         } else {
-          BumpMiss();
+          counters_.misses++;
         }
         adopted.value()->referenced = true;
       }
       return adopted;
     }
   }
-  BumpMiss();
+  counters_.misses++;
   while (blocks_.size() >= capacity_) {
     RETURN_IF_ERROR(EvictOne());
   }
@@ -234,7 +187,7 @@ Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
   }
   if (pending_.contains(bno)) {
     // Single flight: the second request coalesces onto the first.
-    coalesced_reads_++;
+    counters_.coalesced_reads++;
     return OkStatus();
   }
   PendingRead p;
@@ -246,7 +199,7 @@ Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
     RETURN_IF_ERROR(read_(bno, p.data));
   }
   if (prefetch) {
-    prefetch_issued_++;
+    counters_.prefetch_issued++;
   }
   pending_.emplace(bno, std::move(p));
   return OkStatus();
@@ -259,10 +212,10 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
   auto adopted = AdoptPending(bno);
   if (adopted.ok()) {
     if (adopted.value()->prefetched) {
-      BumpHit();
-      BumpPrefetchHit();
+      counters_.hits++;
+      counters_.prefetch_hits++;
     } else {
-      BumpMiss();
+      counters_.misses++;
     }
     adopted.value()->referenced = true;
   }

@@ -26,7 +26,15 @@
 
 namespace ld {
 
-struct DiskStats;
+// Read-path counters the cache keeps about its own lookups.
+struct CacheCounters {
+  uint64_t hits = 0;             // Lookups served from a cached block.
+  uint64_t misses = 0;           // Lookups that had to read the backend.
+  uint64_t prefetch_hits = 0;    // Demand lookups served by a read-ahead fill.
+  uint64_t prefetch_issued = 0;  // Read-ahead loads started.
+  uint64_t prefetch_wasted = 0;  // Read-ahead fills dropped unreferenced.
+  uint64_t coalesced_reads = 0;  // GetAsync calls absorbed by an in-flight read.
+};
 
 struct CacheBlock {
   uint32_t bno = 0;
@@ -56,10 +64,6 @@ class BufferCache {
   // Without this, GetAsync degrades to a synchronous load and Get reads
   // synchronously (the pre-async behaviour).
   void SetAsyncBackend(SubmitFn submit, WaitFn wait);
-
-  // Mirrors the hit/miss/prefetch counters into a device's DiskStats so
-  // device reports tell the whole read-path story. Null detaches.
-  void AttachDeviceStats(DiskStats* stats) { device_stats_ = stats; }
 
   uint32_t block_size() const { return block_size_; }
 
@@ -106,18 +110,14 @@ class BufferCache {
   void set_cluster_writes(bool on) { cluster_writes_ = on; }
   void set_max_cluster_blocks(uint32_t n) { max_cluster_blocks_ = n; }
 
-  // Zeroes the hit/miss/prefetch counters and their mirror in the attached
-  // DiskStats (cached blocks and pending reads are untouched). Lets the
-  // harness give each measurement phase a clean read-path section instead of
-  // counters accumulated since mount.
-  void ResetCounters();
+  // Zeroes the counters (cached blocks and pending reads are untouched).
+  // Lets the harness give each measurement phase a clean read-path section
+  // instead of counters accumulated since mount.
+  void ResetCounters() { counters_ = CacheCounters{}; }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t prefetch_hits() const { return prefetch_hits_; }
-  uint64_t prefetch_issued() const { return prefetch_issued_; }
-  uint64_t prefetch_wasted() const { return prefetch_wasted_; }
-  uint64_t coalesced_reads() const { return coalesced_reads_; }
+  const CacheCounters& counters() const { return counters_; }
+  uint64_t hits() const { return counters_.hits; }
+  uint64_t misses() const { return counters_.misses; }
   size_t size() const { return blocks_.size(); }
   size_t pending_reads() const { return pending_.size(); }
 
@@ -150,10 +150,6 @@ class BufferCache {
   Status CancelPending(uint32_t bno);
   // A block is leaving the cache; account a never-referenced prefetch.
   void NoteDropped(const CacheBlock& block);
-  void BumpHit();
-  void BumpMiss();
-  void BumpPrefetchHit();
-  void BumpPrefetchWasted();
 
   uint32_t block_size_;
   uint32_t capacity_;
@@ -161,7 +157,6 @@ class BufferCache {
   WriteFn write_;
   SubmitFn submit_;  // Null = synchronous reads.
   WaitFn wait_;
-  DiskStats* device_stats_ = nullptr;
   bool cluster_writes_ = false;
   uint32_t max_cluster_blocks_ = 16;
 
@@ -169,12 +164,7 @@ class BufferCache {
   std::list<uint32_t> lru_;  // Front = most recent.
   std::unordered_map<uint32_t, PendingRead> pending_;
 
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t prefetch_hits_ = 0;    // Demand lookups served by a read-ahead fill.
-  uint64_t prefetch_issued_ = 0;  // Read-ahead loads started.
-  uint64_t prefetch_wasted_ = 0;  // Read-ahead fills dropped unreferenced.
-  uint64_t coalesced_reads_ = 0;  // GetAsync calls absorbed by an in-flight read.
+  CacheCounters counters_;
 };
 
 }  // namespace ld

@@ -308,14 +308,14 @@ TEST(BufferCacheAsyncTest, TwoGetAsyncCallsCoalesceToOneDeviceRead) {
   ASSERT_TRUE(cache.GetAsync(4, /*prefetch=*/true).ok());
   ASSERT_TRUE(cache.GetAsync(4, /*prefetch=*/true).ok());
   EXPECT_EQ(backing.submits, 1u);  // Single flight.
-  EXPECT_EQ(cache.coalesced_reads(), 1u);
+  EXPECT_EQ(cache.counters().coalesced_reads, 1u);
   EXPECT_EQ(cache.pending_reads(), 1u);
   auto block = cache.Wait(4);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ((*block)->data[0], 0x4a);
   EXPECT_EQ(backing.submits, 1u);
   EXPECT_EQ(cache.pending_reads(), 0u);
-  EXPECT_EQ(cache.prefetch_hits(), 1u);  // The adopting lookup counts as one.
+  EXPECT_EQ(cache.counters().prefetch_hits, 1u);  // The adopting lookup counts as one.
 }
 
 TEST(BufferCacheAsyncTest, DemandGetAdoptsPendingReadWithoutSecondSubmit) {
@@ -345,7 +345,7 @@ TEST(BufferCacheAsyncTest, DiscardCancelsInFlightRead) {
   EXPECT_EQ(cache.pending_reads(), 0u);
   EXPECT_FALSE(cache.Contains(6));
   ASSERT_EQ(backing.waited.size(), 1u);
-  EXPECT_EQ(cache.prefetch_wasted(), 1u);
+  EXPECT_EQ(cache.counters().prefetch_wasted, 1u);
   // A later demand read starts over.
   auto block = cache.Get(6, /*load=*/true);
   ASSERT_TRUE(block.ok());

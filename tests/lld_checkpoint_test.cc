@@ -12,6 +12,7 @@
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
+#include "src/disk/partition_device.h"
 #include "src/harness/env_knobs.h"
 #include "src/lld/lld.h"
 #include "src/util/random.h"
@@ -414,6 +415,81 @@ TEST(LldCheckpointTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
       }
     }
   }
+}
+
+// A volume whose base frame outgrows its A/B slot: 1-KB blocks push the
+// block map past the 512-KB slot of a 32-MB partition. This relies on
+// ComputeLayout sizing each slot at 1/64 of the capacity while a base frame
+// spends about 50 B per block-map entry; the precondition below fails first
+// if that ratio changes, and the volume must then be resized. The skip must
+// be a typed NO_SPACE counted once by the instance that skipped, the next open
+// must still succeed through log recovery, and an LLD on a sibling
+// partition of the same parent — which skipped nothing — must not report
+// the other tenant's skips.
+TEST(LldCheckpointTest, OversizeBaseFrameIsTypedCountedAndPerInstance) {
+  SimClock clock;
+  MemDisk parent((48ull << 20) / 512, 512, &clock);
+  PartitionDevice big(&parent, 0, (32ull << 20) / 512, /*tenant=*/0);
+  PartitionDevice sibling(&parent, (32ull << 20) / 512, (16ull << 20) / 512, /*tenant=*/1);
+
+  LldOptions options = CkptOptions();
+  options.block_size = 1024;
+  options.defer_checkpoint_frames = true;  // Frames go out through CheckpointStep.
+  auto lld = LogStructuredDisk::Format(&big, options);
+  ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+  constexpr uint32_t kBlocks = 12000;
+  ASSERT_LT((*lld)->CheckpointSlotBytes(), uint64_t{kBlocks} * 50)
+      << "the slot now holds a base frame of " << kBlocks << " entries; resize the volume";
+  auto list = (*lld)->NewList(kBeginOfListOfLists, ListHints{});
+  ASSERT_TRUE(list.ok());
+  std::vector<Bid> bids;
+  std::vector<Status> failures;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    auto bid = (*lld)->NewBlock(*list, pred);
+    ASSERT_TRUE(bid.ok()) << bid.status().ToString();
+    ASSERT_TRUE((*lld)->Write(*bid, Pattern(1024, i)).ok());
+    bids.push_back(*bid);
+    pred = *bid;
+    if ((*lld)->CheckpointFrameDue()) {
+      if (auto wrote = (*lld)->CheckpointStep(); !wrote.ok()) {
+        failures.push_back(wrote.status());
+      }
+    }
+  }
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].code(), ErrorCode::kNoSpace) << failures[0].ToString();
+  EXPECT_NE(failures[0].message().find("checkpoint oversize"), std::string::npos);
+  EXPECT_EQ((*lld)->counters().checkpoints_skipped_oversize, 1u);
+  EXPECT_GT((*lld)->counters().checkpoint_rebases, 0u);  // Earlier bases still fit.
+  ASSERT_TRUE((*lld)->Flush().ok());
+  lld->reset();  // Crash: no clean-shutdown checkpoint.
+
+  // The skip invalidated both slots, so the open scans the log; its own
+  // attempt to start a fresh chain is oversize too, and is the only skip
+  // this instance reports.
+  auto reopened = LogStructuredDisk::Open(&big, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const RecoveryReport& rep = (*reopened)->last_recovery();
+  EXPECT_EQ(rep.mode, RecoveryMode::kLogScan);
+  EXPECT_EQ(rep.checkpoints_skipped_oversize, 1u);
+  EXPECT_EQ((*reopened)->counters().checkpoints_skipped_oversize, 1u);
+  std::vector<uint8_t> out(1024);
+  for (uint32_t i = 0; i < bids.size(); i += 997) {
+    ASSERT_TRUE((*reopened)->Read(bids[i], out).ok());
+    EXPECT_EQ(out, Pattern(1024, i)) << "block " << i;
+  }
+
+  // The sibling tenant's LLD shares the parent device but skipped nothing.
+  auto other = LogStructuredDisk::Format(&sibling, CkptOptions());
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  Workload w;
+  RunWorkload(other->get(), &w, 60, 0);
+  ASSERT_TRUE((*other)->Shutdown().ok());
+  auto other_reopened = LogStructuredDisk::Open(&sibling, CkptOptions());
+  ASSERT_TRUE(other_reopened.ok()) << other_reopened.status().ToString();
+  EXPECT_EQ((*other_reopened)->last_recovery().checkpoints_skipped_oversize, 0u);
+  EXPECT_EQ((*other_reopened)->counters().checkpoints_skipped_oversize, 0u);
 }
 
 }  // namespace

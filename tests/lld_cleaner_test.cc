@@ -13,6 +13,7 @@
 #include "src/compress/lzrw.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
+#include "src/harness/report.h"
 #include "src/lld/lld.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
@@ -685,12 +686,12 @@ TEST(LldCleanerTest, CleanerOutputIsColdAndPreservesBlockAges) {
   EXPECT_TRUE(found_cold) << "no surviving block landed in a cold segment";
 }
 
-// WAF and wear accounting invariants under cleaning churn, measured at the
-// device's DiskStats: with compression and NVRAM off and the log flushed,
-// the media absorbed at least every user byte (WAF >= 1), the media-vs-user
-// gap is at least the cleaner's copy traffic, the wear histogram's weighted
-// population equals the segment-image count the LD recorded, and both byte
-// counters only ever grow.
+// WAF and wear accounting invariants under cleaning churn: with compression
+// and NVRAM off and the log flushed, the media absorbed at least every user
+// byte (WAF >= 1), the media-vs-user gap is at least the cleaner's copy
+// traffic, the usage table's wear histogram weights up to the segment-image
+// count the LD's counters recorded (two structures kept independently), and
+// both byte counters only ever grow.
 TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
   Rig rig;
   HotColdParams params;
@@ -700,27 +701,30 @@ TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
   ASSERT_TRUE(rig.lld->Flush().ok());
   ASSERT_GT(rig.lld->counters().segments_cleaned, 0u);
 
+  const LldCounters& c = rig.lld->counters();
   const DiskStats& stats = rig.mem->stats();
-  ASSERT_GT(stats.user_bytes_written, 0u);
-  EXPECT_GE(stats.Waf(), 1.0);
-  EXPECT_GE(stats.total_bytes_written - stats.user_bytes_written,
-            rig.lld->counters().cleaner_bytes_copied);
+  ASSERT_GT(c.user_bytes_written, 0u);
+  EXPECT_GE(Waf(c.user_bytes_written, stats.total_bytes_written), 1.0);
+  EXPECT_GE(stats.total_bytes_written - c.user_bytes_written, c.cleaner_bytes_copied);
 
   // Wear histogram: one entry per segment at its current wear level, so the
   // weighted sum over buckets recounts every segment image ever programmed.
   // (Holds as long as no segment's wear clamps into the last bucket.)
-  ASSERT_LE(stats.segment_wear_max, DiskStats::kWearBuckets);
+  ASSERT_LE(c.segment_wear_max, UsageTable::kWearBuckets);
+  const auto histogram = rig.lld->usage_table().WearHistogram();
   uint64_t weighted = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    weighted += (b + 1) * stats.wear_histogram[b];
+  uint64_t top = 0;
+  for (size_t b = 0; b < UsageTable::kWearBuckets; ++b) {
+    weighted += (b + 1) * histogram[b];
+    top = histogram[b] > 0 ? b + 1 : top;
   }
-  EXPECT_EQ(weighted, stats.segment_writes_total);
-  EXPECT_EQ(stats.segment_writes_total, rig.lld->counters().segment_images_written);
-  EXPECT_GT(stats.segment_wear_max, 1u);  // The log wrapped: segments were reused.
+  EXPECT_EQ(weighted, c.segment_images_written);
+  EXPECT_EQ(top, c.segment_wear_max);
+  EXPECT_GT(c.segment_wear_max, 1u);  // The log wrapped: segments were reused.
 
   // Monotonicity: more work only grows both byte counters, and the flushed
   // ratio stays >= 1.
-  const uint64_t user_before = stats.user_bytes_written;
+  const uint64_t user_before = c.user_bytes_written;
   const uint64_t total_before = stats.total_bytes_written;
   for (uint32_t i = 0; i < 50; ++i) {
     auto bid = rig.lld->NewBlock(rig.list, kBeginOfList);
@@ -728,9 +732,9 @@ TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
     ASSERT_TRUE(rig.lld->Write(*bid, Pattern(4096, 7000 + i)).ok());
   }
   ASSERT_TRUE(rig.lld->Flush().ok());
-  EXPECT_GT(stats.user_bytes_written, user_before);
+  EXPECT_GT(c.user_bytes_written, user_before);
   EXPECT_GT(stats.total_bytes_written, total_before);
-  EXPECT_GE(stats.Waf(), 1.0);
+  EXPECT_GE(Waf(c.user_bytes_written, stats.total_bytes_written), 1.0);
 }
 
 TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {

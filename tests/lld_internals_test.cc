@@ -21,10 +21,10 @@ SummaryRecord SampleRecord(Rng& rng) {
   switch (rng.Below(10)) {
     case 0:
       return SummaryRecord::BlockEntry(rng.Below(1 << 20), 1 + rng.Below(1000),
-                                       1 + rng.Below(100), rng.Below(1 << 18),
+                                       rng.Below(1 << 18),
                                        static_cast<uint32_t>(1 + rng.Below(4096)),
                                        static_cast<uint32_t>(1 + rng.Below(4096)),
-                                       rng.Chance(0.3), rng.Chance(0.8));
+                                       rng.Chance(0.3), rng.Chance(0.8), rng.Below(1 << 24));
     case 1:
       return SummaryRecord::LinkTuple(rng.Below(1 << 20), 1 + rng.Below(1000),
                                       rng.Below(1000), true);
@@ -73,6 +73,7 @@ void ExpectRecordsEqual(const SummaryRecord& a, const SummaryRecord& b) {
       EXPECT_EQ(a.stored_size, b.stored_size);
       EXPECT_EQ(a.orig_size, b.orig_size);
       EXPECT_EQ(a.compressed, b.compressed);
+      EXPECT_EQ(a.payload_crc, b.payload_crc);
       break;
     case SummaryRecordType::kLinkTuple:
     case SummaryRecordType::kListHead:
@@ -92,7 +93,6 @@ void ExpectRecordsEqual(const SummaryRecord& a, const SummaryRecord& b) {
       EXPECT_EQ(a.stored_size, b.stored_size);
       EXPECT_EQ(a.orig_size, b.orig_size);
       EXPECT_EQ(a.payload_crc, b.payload_crc);
-      EXPECT_EQ(a.has_payload_crc, b.has_payload_crc);
       break;
     case SummaryRecordType::kScrubIntent:
       EXPECT_EQ(a.intent_seq, b.intent_seq);
@@ -204,9 +204,28 @@ TEST(SummaryCodecTest, EncodedSizeMatchesReality) {
   }
 }
 
+// A block entry always carries its payload checksum; one with the checksum
+// flag clear is not a layout the codec writes and must not decode.
+TEST(SummaryCodecTest, BlockEntryWithoutChecksumFlagIsCorruption) {
+  const SummaryRecord r =
+      SummaryRecord::BlockEntry(5, 42, 8192, 4096, 4096, false, true, 0xabcdef);
+  std::vector<uint8_t> buf;
+  Encoder enc(&buf);
+  r.EncodeTo(&enc);
+  Decoder clean(buf);
+  ASSERT_TRUE(SummaryRecord::DecodeFrom(&clean).ok());
+
+  constexpr size_t kFlagsByte = 1 + 6;      // After type and timestamp.
+  constexpr uint8_t kFlagPayloadCrc = 0x20;
+  ASSERT_NE(buf[kFlagsByte] & kFlagPayloadCrc, 0);
+  buf[kFlagsByte] &= static_cast<uint8_t>(~kFlagPayloadCrc);
+  Decoder cleared(buf);
+  EXPECT_EQ(SummaryRecord::DecodeFrom(&cleared).status().code(), ErrorCode::kCorruption);
+}
+
 // Property sweep over randomized record mixes — all flag/type combinations
-// SampleRecord can produce (payload-CRC-bearing entries × parity records ×
-// scrub intents × the legacy types): the codec must (a) round-trip exactly,
+// SampleRecord can produce (block entries × parity records × scrub intents
+// × the list and allocation types): the codec must (a) round-trip exactly,
 // (b) reject every truncation of the encoded image, and (c) reject a bit
 // flip anywhere in the encoded bytes. (b) and (c) are what recovery leans
 // on when it classifies torn and rotted summaries.

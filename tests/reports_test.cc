@@ -3,18 +3,26 @@
 // (parse-back round-trip), the typed outcome() classifiers must match their
 // documented predicates for arbitrary counter mixes, and the QoS
 // LatencyHistogram that backs the per-tenant report lines must behave at its
-// edges (empty, single sample, saturated bucket, out-of-range values).
+// edges (empty, single sample, saturated bucket, out-of-range values), and
+// the write-amplification and wear figures the health report prints (Waf,
+// UsageTable::WearHistogram, the LD's per-session wear counters) must hold
+// their bucket, overflow, and weighted-sum contracts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "src/disk/block_device.h"
+#include "src/disk/mem_disk.h"
 #include "src/disk/qos.h"
+#include "src/harness/report.h"
+#include "src/lld/lld.h"
 #include "src/lld/reports.h"
+#include "src/lld/usage_table.h"
 #include "src/util/random.h"
 #include "tests/device_test_util.h"
 
@@ -303,98 +311,116 @@ TEST(ReportsTest, MeanTracksExactTotalsNotBuckets) {
   EXPECT_NEAR(h.MeanMs(), total / 1000.0, 1e-9);
 }
 
-// ---- Write-amplification and wear accounting (DiskStats) -------------------
+// ---- Write amplification and wear ------------------------------------------
 
 TEST(ReportsTest, WafIsZeroWithoutUserBytesAndExactRatioOtherwise) {
-  DiskStats stats;
-  EXPECT_EQ(stats.Waf(), 0.0);  // No user traffic yet: ratio undefined, report 0.
-  stats.total_bytes_written = 4096;
-  EXPECT_EQ(stats.Waf(), 0.0);  // Pure overhead (format) still has no user bytes.
-  stats.user_bytes_written = 4096;
-  stats.total_bytes_written = 10240;
-  EXPECT_NEAR(stats.Waf(), 2.5, 1e-12);
+  EXPECT_EQ(Waf(0, 0), 0.0);     // No user traffic yet: ratio undefined, report 0.
+  EXPECT_EQ(Waf(0, 4096), 0.0);  // Pure overhead (format) still has no user bytes.
+  EXPECT_NEAR(Waf(4096, 10240), 2.5, 1e-12);
 }
 
-TEST(ReportsTest, WearHistogramMovesSegmentsBetweenBuckets) {
-  DiskStats stats;
+uint64_t Population(const std::array<uint64_t, UsageTable::kWearBuckets>& histogram) {
+  uint64_t n = 0;
+  for (uint64_t count : histogram) {
+    n += count;
+  }
+  return n;
+}
+
+TEST(ReportsTest, WearHistogramBucketsSegmentsByWear) {
+  UsageTable usage(8);
   // Segment A programmed three times, segment B once: one segment sits at
   // wear 3, one at wear 1, and the weighted sum recounts all four programs.
-  stats.NoteSegmentWear(1);  // A: 0 -> 1
-  stats.NoteSegmentWear(2);  // A: 1 -> 2
-  stats.NoteSegmentWear(3);  // A: 2 -> 3
-  stats.NoteSegmentWear(1);  // B: 0 -> 1
-  EXPECT_EQ(stats.wear_histogram[0], 1u);
-  EXPECT_EQ(stats.wear_histogram[1], 0u);
-  EXPECT_EQ(stats.wear_histogram[2], 1u);
-  EXPECT_EQ(stats.segment_writes_total, 4u);
-  EXPECT_EQ(stats.segment_wear_max, 3u);
+  usage.segment(2).wear = 3;
+  usage.segment(5).wear = 1;
+  const auto histogram = usage.WearHistogram();
+  EXPECT_EQ(histogram[0], 1u);
+  EXPECT_EQ(histogram[1], 0u);
+  EXPECT_EQ(histogram[2], 1u);
+  EXPECT_EQ(Population(histogram), 2u);  // Never-programmed segments are not counted.
+  uint64_t weighted = 0;
+  for (size_t b = 0; b < UsageTable::kWearBuckets; ++b) {
+    weighted += (b + 1) * histogram[b];
+  }
+  EXPECT_EQ(weighted, 4u);
 }
 
 TEST(ReportsTest, WearHistogramInvariantsOverRandomProgramSequences) {
-  // Property: after any interleaving of per-segment program sequences (each
-  // segment's wear reported as 1, 2, 3, ... in order, as the LD layer does),
-  // the histogram population equals the number of segments touched, the
-  // weighted sum equals the total programs, and the max matches — as long as
-  // no segment's wear clamps into the overflow bucket.
+  // Property: after any interleaving of per-segment programs, the histogram
+  // population equals the number of segments touched and the weighted sum
+  // equals the total programs — as long as no segment's wear clamps into
+  // the overflow bucket.
   Rng rng(EnvFaultSeed(31));
-  DiskStats stats;
-  constexpr size_t kSegments = 40;
-  uint32_t wear[kSegments] = {};
+  constexpr uint32_t kSegments = 40;
+  UsageTable usage(kSegments);
   uint64_t programs = 0;
   for (int step = 0; step < 400; ++step) {
-    const size_t seg = rng.Below(kSegments);
-    if (wear[seg] >= DiskStats::kWearBuckets) {
+    SegmentUsage& seg = usage.segment(static_cast<uint32_t>(rng.Below(kSegments)));
+    if (seg.wear >= UsageTable::kWearBuckets) {
       continue;  // Keep every segment below the clamp.
     }
-    stats.NoteSegmentWear(++wear[seg]);
+    seg.wear++;
     programs++;
   }
-  uint64_t population = 0, weighted = 0, expect_max = 0, expect_pop = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    population += stats.wear_histogram[b];
-    weighted += (b + 1) * stats.wear_histogram[b];
+  uint64_t expect_pop = 0;
+  for (uint32_t s = 0; s < kSegments; ++s) {
+    expect_pop += usage.segment(s).wear > 0 ? 1 : 0;
   }
-  for (size_t s = 0; s < kSegments; ++s) {
-    expect_pop += wear[s] > 0 ? 1 : 0;
-    expect_max = std::max<uint64_t>(expect_max, wear[s]);
+  const auto histogram = usage.WearHistogram();
+  uint64_t weighted = 0;
+  for (size_t b = 0; b < UsageTable::kWearBuckets; ++b) {
+    weighted += (b + 1) * histogram[b];
   }
-  EXPECT_EQ(population, expect_pop);
+  EXPECT_EQ(Population(histogram), expect_pop);
   EXPECT_EQ(weighted, programs);
-  EXPECT_EQ(stats.segment_writes_total, programs);
-  EXPECT_EQ(stats.segment_wear_max, expect_max);
 }
 
 TEST(ReportsTest, WearHistogramClampsDeepWearIntoLastBucket) {
-  DiskStats stats;
-  for (uint32_t w = 1; w <= 40; ++w) {
-    stats.NoteSegmentWear(w);
-  }
-  // Every program counted; the single segment occupies only the last bucket.
-  EXPECT_EQ(stats.segment_writes_total, 40u);
-  EXPECT_EQ(stats.segment_wear_max, 40u);
-  uint64_t population = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    population += stats.wear_histogram[b];
-  }
-  EXPECT_EQ(population, 1u);
-  EXPECT_EQ(stats.wear_histogram[DiskStats::kWearBuckets - 1], 1u);
+  UsageTable usage(4);
+  usage.segment(1).wear = 40;
+  usage.segment(3).wear = UsageTable::kWearBuckets;
+  const auto histogram = usage.WearHistogram();
+  EXPECT_EQ(Population(histogram), 2u);
+  EXPECT_EQ(histogram[UsageTable::kWearBuckets - 1], 2u);
 }
 
-TEST(ReportsTest, ResetWearAccountingZeroesOnlyWearFields) {
-  DiskStats stats;
-  stats.user_bytes_written = 100;
-  stats.total_bytes_written = 200;
-  stats.NoteSegmentWear(1);
-  stats.NoteSegmentWear(2);
-  stats.ResetWearAccounting();
-  EXPECT_EQ(stats.segment_writes_total, 0u);
-  EXPECT_EQ(stats.segment_wear_max, 0u);
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    EXPECT_EQ(stats.wear_histogram[b], 0u);
+TEST(ReportsTest, WearAccountingIsPerLdSessionAndMediaBytesAreNot) {
+  SimClock clock;
+  MemDisk disk((16ull << 20) / 512, 512, &clock);
+  LldOptions options;
+  options.segment_bytes = 64 * 1024;
+  auto lld = LogStructuredDisk::Format(&disk, options);
+  ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+  auto list = (*lld)->NewList(kBeginOfListOfLists, ListHints{});
+  ASSERT_TRUE(list.ok());
+  std::vector<uint8_t> data(4096, 0x5a);
+  for (int i = 0; i < 200; ++i) {
+    auto bid = (*lld)->NewBlock(*list, kBeginOfList);
+    ASSERT_TRUE(bid.ok());
+    ASSERT_TRUE((*lld)->Write(*bid, data).ok());
   }
-  // The byte counters are lifetime-of-device, not per LD session.
-  EXPECT_EQ(stats.user_bytes_written, 100u);
-  EXPECT_EQ(stats.total_bytes_written, 200u);
+  ASSERT_TRUE((*lld)->Flush().ok());
+  const LldCounters& c = (*lld)->counters();
+  ASSERT_GT(c.segment_images_written, 0u);
+  EXPECT_EQ(c.segment_wear_max, 1u);  // The log has not wrapped.
+  EXPECT_EQ(Population((*lld)->usage_table().WearHistogram()), c.segment_images_written);
+
+  // ResetCounters opens a fresh window; the usage table keeps the wear.
+  (*lld)->ResetCounters();
+  EXPECT_EQ((*lld)->counters().segment_images_written, 0u);
+  EXPECT_EQ((*lld)->counters().segment_wear_max, 0u);
+  EXPECT_GT(Population((*lld)->usage_table().WearHistogram()), 0u);
+
+  // A reopen starts a new session: no wear, no images, while the device's
+  // media byte count is lifetime-of-device.
+  ASSERT_TRUE((*lld)->Shutdown().ok());
+  const uint64_t media_before = disk.stats().total_bytes_written;
+  auto reopened = LogStructuredDisk::Open(&disk, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Population((*reopened)->usage_table().WearHistogram()), 0u);
+  EXPECT_EQ((*reopened)->counters().segment_images_written, 0u);
+  EXPECT_EQ((*reopened)->counters().segment_wear_max, 0u);
+  EXPECT_GE(disk.stats().total_bytes_written, media_before);
 }
 
 }  // namespace
