@@ -967,7 +967,10 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
     return read_with_repair(out, /*compressed=*/false);
   }
 
-  std::vector<uint8_t> stored(entry->stored_size);
+  // Its own buffer, not io_scratch_: read_with_repair reads the media
+  // through io_scratch_ while `stored` is live.
+  read_packed_.resize(entry->stored_size);
+  const std::span<uint8_t> stored(read_packed_);
   if (entry->phys.IsOpen()) {
     std::memcpy(stored.data(), open_buffer_.data() + entry->phys.offset, stored.size());
   } else {
@@ -1056,13 +1059,12 @@ Status LogStructuredDisk::Write(Bid bid, std::span<const uint8_t> data) {
 
   Status status;
   if (compress) {
-    std::vector<uint8_t> packed;
-    const size_t csize = options_.compressor->Compress(data, &packed);
+    const size_t csize = options_.compressor->Compress(data, &write_packed_);
     ChargeCompressCpu(data.size());
     if (csize < data.size()) {
       counters_.blocks_compressed++;
       counters_.compression_saved_bytes += data.size() - csize;
-      status = AppendBlockData(bid, packed, static_cast<uint32_t>(data.size()),
+      status = AppendBlockData(bid, write_packed_, static_cast<uint32_t>(data.size()),
                                /*compressed=*/true, /*internal=*/false);
     } else {
       status = AppendBlockData(bid, data, static_cast<uint32_t>(data.size()),

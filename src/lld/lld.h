@@ -843,6 +843,10 @@ class LogStructuredDisk : public LogicalDisk {
   std::vector<uint8_t> ckpt_window_mask_;
 
   std::vector<uint8_t> io_scratch_;  // Reusable sector-aligned I/O buffer.
+  // Compressed forms of the block being written and the block being read,
+  // kept across calls so the compressed path allocates nothing per block.
+  std::vector<uint8_t> write_packed_;
+  std::vector<uint8_t> read_packed_;
 };
 
 }  // namespace ld
