@@ -280,6 +280,37 @@ Status LogStructuredDisk::BuildSummaryInto(std::span<uint8_t> buffer, uint32_t s
   return EncodeSummary(header, open_records_, buffer.subspan(data_capacity_));
 }
 
+Status LogStructuredDisk::ReadSegmentSummary(uint32_t seg, std::span<const uint8_t> tail,
+                                             SegmentSummary* out,
+                                             std::span<const uint8_t> image) {
+  SummaryHeader& header = out->header;
+  out->header_valid = false;
+  RETURN_IF_ERROR(DecodeSummaryHeader(tail, &header));
+  if (header.ext_bytes > data_capacity_ || header.segment_index != seg) {
+    return CorruptionError("segment " + std::to_string(seg) + " summary header claims segment " +
+                           std::to_string(header.segment_index) + " and " +
+                           std::to_string(header.ext_bytes) + " extension bytes");
+  }
+  out->header_valid = true;
+  // Spilled records end where the data area ends; DecodeSummary takes them
+  // from the end of the span it is given.
+  std::span<const uint8_t> data_end = image.empty() ? image : image.first(data_capacity_);
+  std::vector<uint8_t> ext;
+  if (image.empty() && header.ext_bytes > 0) {
+    const uint32_t sector = device_->sector_size();
+    const uint64_t first = (data_capacity_ - header.ext_bytes) / sector * sector;
+    ext.resize(data_capacity_ - first);
+    RETURN_IF_ERROR(io_.Read((SegmentBaseByte(seg) + first) / sector, ext));
+    data_end = ext;
+  }
+  return DecodeSummary(tail, data_end, &header, &out->records);
+}
+
+Status LogStructuredDisk::ZeroSummary(uint32_t seg) {
+  const std::vector<uint8_t> zeros(options_.summary_bytes, 0);
+  return io_.Write(SegmentSummaryStartByte(seg) / device_->sector_size(), zeros);
+}
+
 StatusOr<uint32_t> LogStructuredDisk::AllocateFreeSegment(bool allow_clean) {
   // The cleaning reserve must scale with the disk: at high utilization the
   // cleaner needs enough writer headroom that a round of high-live victims

@@ -377,6 +377,23 @@ class LogStructuredDisk : public LogicalDisk {
   Status BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index, uint64_t seq,
                           uint32_t data_bytes);
 
+  // The summary reader: the one place that knows where a summary's spilled
+  // extension sits and which header values to trust. Decodes segment `seg`'s
+  // summary from its already-read `tail`; the extension is read from the
+  // media, or taken from `image` (the full segment) when one is given.
+  // NOT_FOUND: no magic. CORRUPTION: a header claiming another segment or an
+  // extension past the data area (header_valid false), or records that do
+  // not decode. An extension read error is returned as is.
+  struct SegmentSummary {
+    SummaryHeader header;
+    bool header_valid = false;  // header.seq is trustworthy.
+    std::vector<SummaryRecord> records;
+  };
+  Status ReadSegmentSummary(uint32_t seg, std::span<const uint8_t> tail, SegmentSummary* out,
+                            std::span<const uint8_t> image = {});
+  // Zeros segment `seg`'s summary region, so it reads as never written.
+  Status ZeroSummary(uint32_t seg);
+
   // ---- Segment parity (segment_parity option) ------------------------------
   // XOR lane period for a segment whose largest stored block is `max_stored`:
   // one sector more than the sector-rounded block, so any sector-aligned
@@ -476,6 +493,17 @@ class LogStructuredDisk : public LogicalDisk {
   }
   // Reads a segment's full image (data area + summary tail).
   Status ReadSegmentImage(uint32_t segment, std::span<uint8_t> out);
+  // XORs bytes [offset, offset + acc.size()) of every segment in `segments`
+  // but `skip` into `acc`, reading them in order (stripe XOR is positional).
+  Status XorSegmentRanges(const std::vector<uint32_t>& segments, uint32_t offset,
+                          std::span<uint8_t> acc, uint32_t skip = UINT32_MAX);
+  // The one stripe verification rule: rebuilds member `idx` of `set` into
+  // `image` from the parity image (which must match its recorded CRC) and
+  // the other members; the result must decode, into *summary, as the
+  // member's own summary at its recorded seal. Every double fault, an
+  // unreadable peer included, is CORRUPTION; other read errors pass through.
+  Status ReconstructStripeMember(const StripeSet& set, size_t idx, std::span<uint8_t> image,
+                                 SegmentSummary* summary);
   // Seal-time formation: if one unstriped kFull segment exists on every live
   // channel but one, forms a full-width stripe set whose records ride the
   // summary of `sealing_segment` (appended to open_records_); the parity

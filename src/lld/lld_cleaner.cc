@@ -66,25 +66,15 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
                                         VictimDataRead* pending, uint32_t* ext_live) {
   const uint32_t sector = device_->sector_size();
   std::vector<uint8_t> summary(options_.summary_bytes);
-  RETURN_IF_ERROR(io_.Read((SegmentBaseByte(victim) + data_capacity_) / sector, summary));
-  SummaryHeader header;
-  const Status head = DecodeSummaryHeader(summary, &header);
-  if (head.code() == ErrorCode::kNotFound) {
+  RETURN_IF_ERROR(io_.Read(SegmentSummaryStartByte(victim) / sector, summary));
+  SegmentSummary victim_summary;
+  const Status read = ReadSegmentSummary(victim, summary, &victim_summary);
+  if (read.code() == ErrorCode::kNotFound) {
     return OkStatus();  // Never written: nothing to preserve.
   }
-  RETURN_IF_ERROR(head);
-  std::vector<uint8_t> ext;
-  if (header.ext_bytes > 0) {
-    const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-    const uint64_t first = (SegmentBaseByte(victim) + ext_start) / sector * sector;
-    const uint64_t end = SegmentBaseByte(victim) + data_capacity_;
-    std::vector<uint8_t> raw((end - first + sector - 1) / sector * sector);
-    RETURN_IF_ERROR(io_.Read(first / sector, raw));
-    const size_t skip = (SegmentBaseByte(victim) + ext_start) - first;
-    ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
-  }
-  std::vector<SummaryRecord> records;
-  RETURN_IF_ERROR(DecodeSummary(summary, ext, &header, &records));
+  RETURN_IF_ERROR(read);
+  const SummaryHeader& header = victim_summary.header;
+  const std::vector<SummaryRecord>& records = victim_summary.records;
   if (header.ext_bytes > 0) {
     // The spilled record bytes were accounted live when this segment was
     // written; harvesting re-logs what still matters. Their release is
@@ -753,15 +743,10 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   }
 
   for (uint32_t p : *dissolved_parity) {
-    SegmentUsage& seg = usage_->segment(p);
-    seg.state = SegmentState::kFree;
-    seg.newest_ts = 0;
-    seg.age_ts = 0;
-    seg.cold = false;
-    seg.ClearParity();
+    usage_->MarkFree(p);
   }
   for (size_t i = 0; i < victims.size(); ++i) {
-    SegmentUsage& seg = usage_->segment(victims[i]);
+    const SegmentUsage& seg = usage_->segment(victims[i]);
     // After the installs, the only live bytes left should be the victim's
     // spilled record extension (its release was deferred from the harvest).
     if (seg.live_bytes() != victim_ext[i]) {
@@ -769,11 +754,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
                     << " live bytes (expected " << victim_ext[i] << " ext record bytes)";
     }
     usage_->SetLive(victims[i], 0);
-    seg.state = SegmentState::kFree;
-    seg.newest_ts = 0;
-    seg.age_ts = 0;
-    seg.cold = false;
-    seg.ClearParity();
+    usage_->MarkFree(victims[i]);
     counters_.segments_cleaned++;
   }
   cleaning_ = false;

@@ -1057,9 +1057,9 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   // the serial and parallel sweeps: parallelism only reorders the device
   // reads, never the classification (which runs in segment order).
   auto process = [&](uint32_t seg, std::span<const uint8_t> summary) -> Status {
-    SummaryHeader header;
-    const Status head = DecodeSummaryHeader(summary, &header);
-    if (head.code() == ErrorCode::kNotFound) {
+    SegmentSummary read;
+    const Status s = ReadSegmentSummary(seg, summary, &read);
+    if (s.code() == ErrorCode::kNotFound) {
       // No magic. An untouched (or scrub-retired) summary region is all
       // zeros; any other content means the magic itself was damaged.
       const bool all_zero =
@@ -1069,41 +1069,24 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       }
       return OkStatus();  // Never written.
     }
-    if (!head.ok() || header.ext_bytes > data_capacity_ || header.segment_index != seg) {
-      suspects.push_back({seg, false, 0, false});
-      return OkStatus();
-    }
-    // Record-heavy segments spill records into the end of their data area.
-    std::vector<uint8_t> ext;
-    if (header.ext_bytes > 0) {
-      const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-      const uint64_t first = (SegmentBaseByte(seg) + ext_start) / sector * sector;
-      const uint64_t end = SegmentBaseByte(seg) + data_capacity_;
-      std::vector<uint8_t> raw((end - first + sector - 1) / sector * sector);
-      if (Status s = io_.Read(first / sector, raw); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        suspects.push_back({seg, true, header.seq, /*unreadable=*/true});
-        return OkStatus();
+    if (!s.ok()) {
+      if (s.code() != ErrorCode::kIoError && s.code() != ErrorCode::kCorruption) {
+        return s;
       }
-      const size_t skip = (SegmentBaseByte(seg) + ext_start) - first;
-      ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
-    }
-    std::vector<SummaryRecord> records;
-    const Status decode = DecodeSummary(summary, ext, &header, &records);
-    if (!decode.ok()) {
-      suspects.push_back({seg, true, header.seq, false});
+      // A rejected header claims no seq; an unreadable extension or records
+      // that fail to decode sit under a header whose seq can be trusted.
+      suspects.push_back({seg, read.header_valid, read.header_valid ? read.header.seq : 0,
+                          /*unreadable=*/s.code() == ErrorCode::kIoError});
       return OkStatus();
     }
     rep.summaries_valid++;
-    if (have_chain && header.seq <= covered_seq) {
+    if (have_chain && read.header.seq <= covered_seq) {
       // Stale: the chain already accounts for this segment (it was freed, or
       // its records are covered). The chain is authoritative.
       return OkStatus();
     }
     has_summary[seg] = true;
-    scanned.push_back(ScannedSegment{seg, header.seq, std::move(records)});
+    scanned.push_back(ScannedSegment{seg, read.header.seq, std::move(read.records)});
     return OkStatus();
   };
 
@@ -1185,23 +1168,13 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   // parity; any second fault along the way refuses the open, typed.
   struct StripeNet {
     uint64_t seq = 0;  // Seq of the summary that carried the record set.
-    uint32_t record_segment = 0;
-    uint32_t member_count = 0;  // 0 = dissolved.
-    uint32_t parity_crc = 0;
-    std::vector<uint32_t> members;
-    std::vector<uint64_t> member_seqs;
+    StripeSet set;     // No members: dissolved.
   };
   std::unordered_map<uint32_t, StripeNet> stripe_net;
   std::unordered_set<uint32_t> stripe_channels_touched;
   if (!clean_load) {
     for (const auto& [p, set] : stripes_) {
-      StripeNet net;
-      net.record_segment = set.record_segment;
-      net.member_count = static_cast<uint32_t>(set.members.size());
-      net.parity_crc = set.parity_crc;
-      net.members = set.members;
-      net.member_seqs = set.member_seqs;
-      stripe_net.emplace(p, std::move(net));
+      stripe_net.emplace(p, StripeNet{0, set});
     }
     stripes_.clear();
     member_stripe_.clear();
@@ -1212,32 +1185,28 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           continue;
         }
         StripeNet& net = stripe_net[r.offset];
+        StripeSet& set = net.set;
         const uint32_t count = r.orig_size;
         if (seg.seq < net.seq) {
           continue;
         }
-        if (seg.seq > net.seq || count != net.member_count || count == 0) {
-          net = StripeNet{};
-          net.seq = seg.seq;
-          net.member_count = count;
-          net.parity_crc = r.payload_crc;
-          net.members.assign(count, UINT32_MAX);
-          net.member_seqs.assign(count, 0);
+        if (seg.seq > net.seq || count != set.members.size() || count == 0) {
+          net = StripeNet{seg.seq, StripeSet{}};
+          set.parity_segment = r.offset;
+          set.parity_crc = r.payload_crc;
+          set.members.assign(count, UINT32_MAX);
+          set.member_seqs.assign(count, 0);
         }
-        net.record_segment = seg.index;
+        set.record_segment = seg.index;
         if (count == 0 || r.stored_size >= count) {
           continue;
         }
-        net.members[r.stored_size] = r.bid;
-        net.member_seqs[r.stored_size] = r.intent_seq;
+        set.members[r.stored_size] = r.bid;
+        set.member_seqs[r.stored_size] = r.intent_seq;
       }
     };
-    for (const auto& seg : replay) {
-      absorb(seg);
-    }
-    for (const auto& seg : scanned) {
-      absorb(seg);
-    }
+    std::for_each(replay.begin(), replay.end(), absorb);
+    std::for_each(scanned.begin(), scanned.end(), absorb);
 
     std::unordered_map<uint32_t, uint64_t> scanned_seqs;
     for (const auto& seg : scanned) {
@@ -1250,9 +1219,10 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
     for (auto it = stripe_net.begin(); it != stripe_net.end();) {
       const uint32_t p = it->first;
       StripeNet& net = it->second;
-      bool dead = net.member_count == 0 || p >= num_segments;
-      for (size_t i = 0; !dead && i < net.members.size(); ++i) {
-        const uint32_t m = net.members[i];
+      const std::vector<uint32_t>& members = net.set.members;
+      bool dead = members.empty() || p >= num_segments;
+      for (size_t i = 0; !dead && i < members.size(); ++i) {
+        const uint32_t m = members[i];
         dead = m == UINT32_MAX || m >= num_segments || m == p;
       }
       if (!dead) {
@@ -1284,59 +1254,21 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       }
     }
 
-    auto reconstruct_member = [&](uint32_t p, const StripeNet& net,
-                                  uint32_t idx) -> Status {
-      const uint32_t m = net.members[idx];
-      const auto fault = [&](const std::string& what) {
-        return CorruptionError("recovery: stripe member " + std::to_string(m) +
-                               " (parity segment " + std::to_string(p) + "): " + what +
-                               " (double fault)");
-      };
+    auto reconstruct_member = [&](const StripeSet& set, uint32_t idx) -> Status {
+      const uint32_t m = set.members[idx];
       std::vector<uint8_t> image(options_.segment_bytes);
-      if (Status s = ReadSegmentImage(p, image); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
+      SegmentSummary rebuilt;
+      if (Status s = ReconstructStripeMember(set, idx, image, &rebuilt); !s.ok()) {
+        if (s.code() != ErrorCode::kCorruption) {
           return s;
         }
-        return fault("parity image unreadable: " + s.ToString());
-      }
-      if (PayloadCrc(image) != net.parity_crc) {
-        return fault("parity image fails its recorded crc");
-      }
-      std::vector<uint8_t> peer(options_.segment_bytes);
-      for (size_t j = 0; j < net.members.size(); ++j) {
-        if (j == idx) {
-          continue;
-        }
-        if (Status s = ReadSegmentImage(net.members[j], peer); !s.ok()) {
-          if (s.code() != ErrorCode::kIoError) {
-            return s;
-          }
-          return fault("stripe peer " + std::to_string(net.members[j]) +
-                       " unreadable: " + s.ToString());
-        }
-        for (size_t b = 0; b < image.size(); ++b) {
-          image[b] ^= peer[b];
-        }
-      }
-      // `image` is now the lost member; its summary must decode at exactly
-      // the recorded seal.
-      const std::span<const uint8_t> tail(image.data() + data_capacity_,
-                                          options_.summary_bytes);
-      SummaryHeader header;
-      const Status head = DecodeSummaryHeader(tail, &header);
-      if (!head.ok() || header.segment_index != m ||
-          header.seq != net.member_seqs[idx] || header.ext_bytes > data_capacity_) {
-        return fault("reconstructed summary does not match the recorded seal");
-      }
-      const std::span<const uint8_t> ext(
-          image.data() + data_capacity_ - header.ext_bytes, header.ext_bytes);
-      std::vector<SummaryRecord> records;
-      if (Status s = DecodeSummary(tail, ext, &header, &records); !s.ok()) {
-        return fault("reconstructed summary does not decode: " + s.ToString());
+        return CorruptionError("recovery: stripe member " + std::to_string(m) +
+                               " (parity segment " + std::to_string(set.parity_segment) +
+                               "): " + std::string(s.message()) + " (double fault)");
       }
       has_summary[m] = true;
-      scanned.push_back(ScannedSegment{m, header.seq, std::move(records)});
-      scanned_seqs.emplace(m, header.seq);
+      scanned.push_back(ScannedSegment{m, rebuilt.header.seq, std::move(rebuilt.records)});
+      scanned_seqs.emplace(m, rebuilt.header.seq);
       suspects.erase(std::remove_if(
                          suspects.begin(), suspects.end(),
                          [&](const SuspectSegment& s) { return s.index == m; }),
@@ -1362,7 +1294,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
         EnqueueRebuild(m);
       }
       LD_LOG(kInfo) << "recovery: reconstructed stripe member " << m
-                    << " from parity segment " << p
+                    << " from parity segment " << set.parity_segment
                     << (wrote ? "" : " (media copy deferred to rebuild)");
       return OkStatus();
     };
@@ -1370,17 +1302,17 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
     std::vector<uint32_t> stale_parity;
     for (auto it = stripe_net.begin(); it != stripe_net.end();) {
       const uint32_t p = it->first;
-      StripeNet& net = it->second;
+      const StripeSet& set = it->second.set;
       bool stale = false;
       std::vector<uint32_t> missing;
-      for (uint32_t i = 0; i < net.member_count; ++i) {
-        const uint32_t m = net.members[i];
+      for (uint32_t i = 0; i < set.members.size(); ++i) {
+        const uint32_t m = set.members[i];
         if (const auto ms = scanned_seqs.find(m); ms != scanned_seqs.end()) {
-          if (ms->second != net.member_seqs[i]) {
+          if (ms->second != set.member_seqs[i]) {
             stale = true;
           }
         } else if (has_summary[m]) {
-          if (segment_seqs[m] != net.member_seqs[i]) {
+          if (segment_seqs[m] != set.member_seqs[i]) {
             stale = true;
           }
         } else {
@@ -1397,7 +1329,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
         continue;
       }
       for (uint32_t i : missing) {
-        RETURN_IF_ERROR(reconstruct_member(p, net, i));
+        RETURN_IF_ERROR(reconstruct_member(set, i));
       }
       ++it;
     }
@@ -1405,9 +1337,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       if (!SegmentChannelsUsable(p)) {
         continue;
       }
-      std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-      if (Status s = io_.Write(SegmentSummaryStartByte(p) / sector, zeros);
-          !s.ok() && s.code() != ErrorCode::kIoError) {
+      if (Status s = ZeroSummary(p); !s.ok() && s.code() != ErrorCode::kIoError) {
         return s;
       }
     }
@@ -1417,19 +1347,13 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   // summary carried seq S) has been fully relocated; its summary is garbage
   // awaiting the zeroing write". Gathered from the chain *and* the scan.
   std::unordered_map<uint32_t, uint64_t> intent_seqs;  // segment -> newest intent seq
-  for (const auto& seg : replay) {
-    for (const auto& r : seg.records) {
-      if (r.type == SummaryRecordType::kScrubIntent) {
-        uint64_t& newest = intent_seqs[r.bid];
-        newest = std::max(newest, r.intent_seq);
-      }
-    }
-  }
-  for (const auto& seg : scanned) {
-    for (const auto& r : seg.records) {
-      if (r.type == SummaryRecordType::kScrubIntent) {
-        uint64_t& newest = intent_seqs[r.bid];
-        newest = std::max(newest, r.intent_seq);
+  for (const std::vector<ScannedSegment>* segs : {&replay, &scanned}) {
+    for (const auto& seg : *segs) {
+      for (const auto& r : seg.records) {
+        if (r.type == SummaryRecordType::kScrubIntent) {
+          uint64_t& newest = intent_seqs[r.bid];
+          newest = std::max(newest, r.intent_seq);
+        }
       }
     }
   }
@@ -1470,8 +1394,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       // was reused after retirement and the damage is fresh, so the intent
       // must not retire it — fall through to the refusal below.
       LD_LOG(kInfo) << "recovery: completing scrub retirement of segment " << s.index;
-      std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-      RETURN_IF_ERROR(io_.Write(SegmentSummaryStartByte(s.index) / sector, zeros));
+      RETURN_IF_ERROR(ZeroSummary(s.index));
       rep.retirements_completed++;
       continue;
     }
@@ -1639,25 +1562,23 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       order.push_back(p);
     }
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const StripeNet& na = stripe_net.at(a);
-      const StripeNet& nb = stripe_net.at(b);
-      return na.seq != nb.seq ? na.seq > nb.seq : a < b;
+      const uint64_t sa = stripe_net.at(a).seq;
+      const uint64_t sb = stripe_net.at(b).seq;
+      return sa != sb ? sa > sb : a < b;
     });
     for (uint32_t p : order) {
-      const StripeNet& net = stripe_net.at(p);
+      const StripeSet& set = stripe_net.at(p).set;
       bool ok = usage_->segment(p).state == SegmentState::kFree;
-      for (uint32_t i = 0; ok && i < net.member_count; ++i) {
-        const uint32_t m = net.members[i];
-        ok = has_summary[m] && segment_seqs[m] == net.member_seqs[i] &&
+      for (uint32_t i = 0; ok && i < set.members.size(); ++i) {
+        const uint32_t m = set.members[i];
+        ok = has_summary[m] && segment_seqs[m] == set.member_seqs[i] &&
              usage_->segment(m).state == SegmentState::kFull &&
              member_stripe_.count(m) == 0;
       }
       if (!ok) {
         if (SegmentChannelsUsable(p) &&
             usage_->segment(p).state == SegmentState::kFree) {
-          std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-          if (Status s = io_.Write(SegmentSummaryStartByte(p) / sector, zeros);
-              !s.ok() && s.code() != ErrorCode::kIoError) {
+          if (Status s = ZeroSummary(p); !s.ok() && s.code() != ErrorCode::kIoError) {
             return s;
           }
         }
@@ -1669,13 +1590,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       u.newest_ts = 0;
       u.age_ts = 0;
       u.cold = false;
-      StripeSet set;
-      set.parity_segment = p;
-      set.members = net.members;
-      set.member_seqs = net.member_seqs;
-      set.parity_crc = net.parity_crc;
-      set.record_segment = net.record_segment;
-      RegisterStripe(std::move(set));
+      RegisterStripe(set);
       bool parity_touched = false;
       for (uint32_t c = SegmentChannel(p); c <= SegmentLastChannel(p) && !parity_touched; ++c) {
         parity_touched = stripe_channels_touched.count(c) != 0;

@@ -101,49 +101,27 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
   std::unordered_set<Bid> mentioned_bids;
   std::unordered_set<Lid> mentioned_lids;
 
-  // Reads and decodes segment `seg`'s summary into *records. Returns false
-  // (with *why set) when the summary is damaged; non-IO errors propagate.
+  // Reads segment `seg`'s summary and collects the entities its records
+  // mention. Returns why the summary is damaged, or nullptr when it is
+  // valid; errors other than I/O propagate.
   std::vector<uint8_t> summary(options_.summary_bytes);
-  auto decode_summary = [&](uint32_t seg, std::vector<SummaryRecord>* records,
-                            const char** why) -> StatusOr<bool> {
-    *why = nullptr;
+  SegmentSummary read;
+  auto scan_summary = [&](uint32_t seg) -> StatusOr<const char*> {
     if (Status s = io_.Read(SegmentSummaryStartByte(seg) / sector, summary); !s.ok()) {
       if (s.code() != ErrorCode::kIoError) {
         return s;
       }
-      *why = "unreadable";
-      return false;
+      return "unreadable";
     }
-    SummaryHeader header;
-    const Status head = DecodeSummaryHeader(summary, &header);
-    if (!head.ok() || header.ext_bytes > data_capacity_ || header.segment_index != seg) {
-      *why = "corrupt";
-      return false;
+    const Status s = ReadSegmentSummary(seg, summary, &read);
+    if (s.code() == ErrorCode::kIoError) {
+      return "extension unreadable";
     }
-    std::vector<uint8_t> ext;
-    if (header.ext_bytes > 0) {
-      const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-      const uint64_t first = (SegmentBaseByte(seg) + ext_start) / sector * sector;
-      const uint64_t seg_end = SegmentBaseByte(seg) + data_capacity_;
-      std::vector<uint8_t> raw((seg_end - first + sector - 1) / sector * sector);
-      if (Status s = io_.Read(first / sector, raw); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        *why = "extension unreadable";
-        return false;
-      }
-      const size_t skip = (SegmentBaseByte(seg) + ext_start) - first;
-      ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
+    if (s.code() == ErrorCode::kNotFound || s.code() == ErrorCode::kCorruption) {
+      return "corrupt";
     }
-    if (!DecodeSummary(summary, ext, &header, records).ok()) {
-      *why = "corrupt";
-      return false;
-    }
-    return true;
-  };
-  const auto collect_mentions = [&](const std::vector<SummaryRecord>& records) {
-    for (const auto& r : records) {
+    RETURN_IF_ERROR(s);
+    for (const auto& r : read.records) {
       switch (r.type) {
         case SummaryRecordType::kBlockEntry:
         case SummaryRecordType::kBlockAlloc:
@@ -164,6 +142,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
           break;
       }
     }
+    return nullptr;
   };
 
   // Step 2: verify the window's written summaries; collect entity mentions
@@ -174,16 +153,12 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       continue;
     }
     report.segments_scanned++;
-    std::vector<SummaryRecord> records;
-    const char* why = nullptr;
-    ASSIGN_OR_RETURN(const bool valid, decode_summary(seg, &records, &why));
-    if (!valid) {
+    ASSIGN_OR_RETURN(const char* why, scan_summary(seg));
+    if (why != nullptr) {
       LD_LOG(kWarn) << "scrub: segment " << seg << " summary " << why;
       suspects.insert(seg);
       report.suspect_segments++;
-      continue;
     }
-    collect_mentions(records);
   }
 
   if (!suspects.empty()) {
@@ -206,12 +181,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       if (state != SegmentState::kFull && state != SegmentState::kScratch) {
         continue;
       }
-      std::vector<SummaryRecord> records;
-      const char* why = nullptr;
-      ASSIGN_OR_RETURN(const bool valid, decode_summary(seg, &records, &why));
-      if (valid) {
-        collect_mentions(records);
-      }
+      RETURN_IF_ERROR(scan_summary(seg).status());
     }
   }
 
@@ -376,12 +346,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     RETURN_IF_ERROR(status);
   }
   for (uint32_t p : dissolved_parity) {
-    SegmentUsage& u = usage_->segment(p);
-    u.state = SegmentState::kFree;
-    u.newest_ts = 0;
-    u.age_ts = 0;
-    u.cold = false;
-    u.ClearParity();
+    usage_->MarkFree(p);
   }
   if (!suspects.empty()) {
     // Log one retirement intent per suspect (its own durable batch, written
@@ -398,19 +363,13 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     cleaning_ = false;
     RETURN_IF_ERROR(intent_status);
 
-    std::vector<uint8_t> zeros(options_.summary_bytes, 0);
     for (uint32_t seg : suspects) {
-      if (Status s = io_.Write(SegmentSummaryStartByte(seg) / sector, zeros); !s.ok()) {
+      if (Status s = ZeroSummary(seg); !s.ok()) {
         return HandleWriteFailure(s);
       }
-      SegmentUsage& u = usage_->segment(seg);
-      u.state = SegmentState::kFree;
+      usage_->MarkFree(seg);
       usage_->SetLive(seg, 0);
-      u.newest_ts = 0;
-      u.age_ts = 0;
-      u.cold = false;
-      u.seq = 0;
-      u.ClearParity();
+      usage_->segment(seg).seq = 0;
       // The next checkpoint frame must record the retirement, or chain
       // replay would resurrect the segment as written.
       CaptureRetiredSegment(seg);

@@ -68,19 +68,62 @@ Status LogStructuredDisk::ReadSegmentImage(uint32_t segment, std::span<uint8_t> 
   return io_.Read(SegmentBaseByte(segment) / device_->sector_size(), out);
 }
 
+Status LogStructuredDisk::XorSegmentRanges(const std::vector<uint32_t>& segments,
+                                           uint32_t offset, std::span<uint8_t> acc,
+                                           uint32_t skip) {
+  const uint32_t sector = device_->sector_size();
+  std::vector<uint8_t> peer(acc.size());
+  for (uint32_t segment : segments) {
+    if (segment == skip) {
+      continue;
+    }
+    RETURN_IF_ERROR(io_.Read((SegmentBaseByte(segment) + offset) / sector, peer));
+    for (size_t i = 0; i < peer.size(); ++i) {
+      acc[i] ^= peer[i];
+    }
+  }
+  return OkStatus();
+}
+
+Status LogStructuredDisk::ReconstructStripeMember(const StripeSet& set, size_t idx,
+                                                  std::span<uint8_t> image,
+                                                  SegmentSummary* summary) {
+  const uint32_t m = set.members[idx];
+  const auto unreadable = [](const std::string& what, const Status& s) {
+    return s.code() == ErrorCode::kIoError ? CorruptionError(what + " unreadable: " + s.ToString())
+                                           : s;
+  };
+  if (Status s = ReadSegmentImage(set.parity_segment, image); !s.ok()) {
+    return unreadable("parity image", s);
+  }
+  if (PayloadCrc(image) != set.parity_crc) {
+    return CorruptionError("parity image fails its recorded crc");
+  }
+  if (Status s = XorSegmentRanges(set.members, 0, image, m); !s.ok()) {
+    return unreadable("stripe peer", s);
+  }
+  // `image` is now the lost member; its summary must decode at exactly the
+  // recorded seal.
+  const Status read =
+      ReadSegmentSummary(m, image.subspan(data_capacity_, options_.summary_bytes), summary, image);
+  if (!summary->header_valid || summary->header.seq != set.member_seqs[idx]) {
+    return CorruptionError("reconstructed summary does not match the recorded seal");
+  }
+  if (!read.ok()) {
+    return CorruptionError("reconstructed summary does not decode: " + read.ToString());
+  }
+  return OkStatus();
+}
+
 StatusOr<LogStructuredDisk::StripeSet> LogStructuredDisk::ComputeStripe(
     const std::vector<uint32_t>& members, uint32_t parity_segment,
     std::vector<uint8_t>* image) {
   image->assign(options_.segment_bytes, 0);
-  std::vector<uint8_t> peer(options_.segment_bytes);
+  RETURN_IF_ERROR(XorSegmentRanges(members, 0, *image));
   StripeSet set;
   set.parity_segment = parity_segment;
+  set.members = members;
   for (uint32_t m : members) {
-    RETURN_IF_ERROR(ReadSegmentImage(m, peer));
-    for (size_t i = 0; i < peer.size(); ++i) {
-      (*image)[i] ^= peer[i];
-    }
-    set.members.push_back(m);
     set.member_seqs.push_back(usage_->segment(m).seq);
   }
   set.parity_crc = PayloadCrc(*image);
@@ -281,6 +324,23 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
     const auto it = carriers.find(s);
     return it != carriers.end() && it->second == usage_->segment(s).seq;
   };
+  // Seals the open segment and records it as a carrier: it is the last
+  // segment sealed (cleaner seals triggered by the allocation happen before
+  // the carrier's seq is assigned).
+  const auto seal_carrier = [&]() -> Status {
+    forming_stripe_ = true;
+    const Status sealed = FlushOpenSegmentFull();
+    forming_stripe_ = false;
+    RETURN_IF_ERROR(sealed);
+    for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
+      if (usage_->segment(s).state == SegmentState::kFull &&
+          usage_->segment(s).seq == next_seq_ - 1) {
+        carriers[s] = next_seq_ - 1;
+        break;
+      }
+    }
+    return OkStatus();
+  };
   const uint32_t reserve =
       std::max(options_.free_segment_reserve, std::min(usage_->num_segments() / 8, 32u));
   const size_t record_size = SummaryRecord::StripeParity(0, 0, 0, 0, 0, 0, 0).EncodedSize();
@@ -410,21 +470,9 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
       }
     }
     if (batch > 0) {
-      // Seal the carrier; CommitStripe runs inside the seal, after the
-      // batch's records were submitted.
-      forming_stripe_ = true;
-      Status sealed = FlushOpenSegmentFull();
-      forming_stripe_ = false;
-      RETURN_IF_ERROR(sealed);
-      // The carrier is the last segment sealed (cleaner seals triggered by
-      // the allocation happen before the carrier's seq is assigned).
-      for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-        if (usage_->segment(s).state == SegmentState::kFull &&
-            usage_->segment(s).seq == next_seq_ - 1) {
-          carriers[s] = next_seq_ - 1;
-          break;
-        }
-      }
+      // CommitStripe runs inside the seal, after the batch's records were
+      // submitted.
+      RETURN_IF_ERROR(seal_carrier());
       formed += batch;
       if (max_sets > 0 && formed >= max_sets) {
         break;
@@ -436,17 +484,7 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
       // Drain pending duplicate declarations before deciding there is
       // nothing left: a maintenance pass must leave every set declared on
       // two channels, not wait for the next natural seal.
-      forming_stripe_ = true;
-      Status drained = FlushOpenSegmentFull();
-      forming_stripe_ = false;
-      RETURN_IF_ERROR(drained);
-      for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-        if (usage_->segment(s).state == SegmentState::kFull &&
-            usage_->segment(s).seq == next_seq_ - 1) {
-          carriers[s] = next_seq_ - 1;
-          break;
-        }
-      }
+      RETURN_IF_ERROR(seal_carrier());
       progressed = true;
       continue;
     }
@@ -498,23 +536,10 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
   const uint32_t lo = entry.phys.offset / sector * sector;
   const uint32_t hi =
       static_cast<uint32_t>(RoundUp(entry.phys.offset + entry.stored_size, sector));
-  std::vector<uint8_t> acc(hi - lo, 0);
-  std::vector<uint8_t> peer(hi - lo);
-  auto absorb = [&](uint32_t segment) -> Status {
-    RETURN_IF_ERROR(io_.Read((SegmentBaseByte(segment) + lo) / sector, std::span<uint8_t>(peer)));
-    for (size_t i = 0; i < peer.size(); ++i) {
-      acc[i] ^= peer[i];
-    }
-    return OkStatus();
-  };
-  Status s = absorb(set.parity_segment);
-  for (uint32_t m : set.members) {
-    if (!s.ok()) {
-      break;
-    }
-    if (m != entry.phys.segment) {
-      s = absorb(m);
-    }
+  std::vector<uint8_t> acc(hi - lo);
+  Status s = io_.Read((SegmentBaseByte(set.parity_segment) + lo) / sector, acc);
+  if (s.ok()) {
+    s = XorSegmentRanges(set.members, lo, acc, entry.phys.segment);
   }
   if (!s.ok()) {
     std::string comp = "parity=" + std::to_string(set.parity_segment) + "@ch" +
@@ -572,10 +597,7 @@ StatusOr<std::vector<uint32_t>> LogStructuredDisk::DissolveStripesTouching(
       EraseStripe(parity);
       continue;
     }
-    std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-    if (Status s = io_.Write((SegmentBaseByte(parity) + data_capacity_) / device_->sector_size(),
-                             zeros);
-        !s.ok()) {
+    if (Status s = ZeroSummary(parity); !s.ok()) {
       LD_LOG(kWarn) << "could not zero parity segment " << parity
                     << " summary during dissolve: " << s.ToString();
       EraseStripe(parity);
@@ -710,7 +732,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
       max_segments == 0 ? std::numeric_limits<uint32_t>::max() : max_segments;
   std::vector<uint32_t> requeue;
   std::vector<uint8_t> image(options_.segment_bytes);
-  std::vector<uint8_t> peer(options_.segment_bytes);
 
   while (budget > 0 && !rebuild_pending_.empty()) {
     budget--;
@@ -734,69 +755,27 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
       continue;
     }
 
-    // XOR the surviving peers into `image`. For a member rebuild the parity
-    // image is CRC-verified before it is trusted; for a parity rebuild the
-    // recomputed XOR must match the recorded CRC. Either mismatch — or an
-    // unreadable peer — is a typed double fault: the stripe is dissolved,
-    // never guessed at.
-    std::fill(image.begin(), image.end(), 0);
-    Status io = OkStatus();
-    bool double_fault = false;
+    // Rebuild the image from the surviving peers. A member rebuild goes
+    // through the stripe verification rule; a parity rebuild must reproduce
+    // the recorded CRC. Either mismatch, or an unreadable peer, is a typed
+    // double fault: the stripe is dissolved, never guessed at.
+    Status failure = OkStatus();
     if (is_parity) {
-      for (uint32_t m : set->members) {
-        io = ReadSegmentImage(m, peer);
-        if (!io.ok()) {
-          break;
-        }
-        for (size_t i = 0; i < image.size(); ++i) {
-          image[i] ^= peer[i];
-        }
+      std::fill(image.begin(), image.end(), 0);
+      failure = XorSegmentRanges(set->members, 0, image);
+      if (failure.ok() && PayloadCrc(image) != set->parity_crc) {
+        failure = CorruptionError("rebuilt parity image fails its recorded crc");
       }
-      double_fault = io.ok() && PayloadCrc(image) != set->parity_crc;
     } else {
-      io = ReadSegmentImage(set->parity_segment, peer);
-      if (io.ok() && PayloadCrc(peer) != set->parity_crc) {
-        double_fault = true;
-      }
-      if (io.ok() && !double_fault) {
-        std::memcpy(image.data(), peer.data(), peer.size());
-        for (uint32_t m : set->members) {
-          if (m == seg) {
-            continue;
-          }
-          io = ReadSegmentImage(m, peer);
-          if (!io.ok()) {
-            break;
-          }
-          for (size_t i = 0; i < image.size(); ++i) {
-            image[i] ^= peer[i];
-          }
-        }
-      }
-      if (io.ok() && !double_fault) {
-        // The reconstructed image must decode to exactly the member summary
-        // the stripe recorded — right segment, right sequence.
-        size_t idx = 0;
-        while (idx < set->members.size() && set->members[idx] != seg) {
-          idx++;
-        }
-        SummaryHeader header;
-        std::vector<SummaryRecord> records;
-        const std::span<const uint8_t> tail(image.data() + data_capacity_,
-                                            options_.summary_bytes);
-        const std::span<const uint8_t> ext(image.data(), data_capacity_);
-        if (!DecodeSummary(tail, ext, &header, &records).ok() ||
-            header.segment_index != seg || idx >= set->member_seqs.size() ||
-            header.seq != set->member_seqs[idx]) {
-          double_fault = true;
-        }
-      }
+      const size_t idx = static_cast<size_t>(
+          std::find(set->members.begin(), set->members.end(), seg) - set->members.begin());
+      SegmentSummary rebuilt;
+      failure = ReconstructStripeMember(*set, idx, image, &rebuilt);
     }
 
-    if (!io.ok() || double_fault) {
+    if (!failure.ok()) {
       const uint32_t parity = is_parity ? seg : set->parity_segment;
-      LD_LOG(kWarn) << "rebuild of segment " << seg << " unrecoverable ("
-                    << (io.ok() ? "verification mismatch" : io.ToString())
+      LD_LOG(kWarn) << "rebuild of segment " << seg << " unrecoverable (" << failure.ToString()
                     << "); dissolving stripe " << parity;
       // DissolveStripesTouching zeroes the parity summary and appends the
       // countermand through the log (guarded so the flush it may trigger
@@ -810,12 +789,7 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
       forming_stripe_ = false;
       if (logged.ok() && freed.ok()) {
         for (uint32_t p : *freed) {
-          SegmentUsage& pu = usage_->segment(p);
-          pu.state = SegmentState::kFree;
-          pu.newest_ts = 0;
-          pu.age_ts = 0;
-          pu.cold = false;
-          pu.ClearParity();
+          usage_->MarkFree(p);
         }
       } else if (!logged.ok()) {
         LD_LOG(kWarn) << "could not log stripe dissolve during rebuild: " << logged.ToString();

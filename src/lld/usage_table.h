@@ -111,6 +111,16 @@ class UsageTable {
   // Overwrites a segment's count: victim reset, checkpoint decode, parity
   // claim, scrub retirement.
   void SetLive(uint32_t index, uint32_t bytes) { StoreLive(segments_[index], bytes); }
+  // Returns a segment to the free pool: kFree, no age, not cold, no parity.
+  // Its live count and seq are the caller's to reset.
+  void MarkFree(uint32_t index) {
+    SegmentUsage& s = segments_[index];
+    s.state = SegmentState::kFree;
+    s.newest_ts = 0;
+    s.age_ts = 0;
+    s.cold = false;
+    s.ClearParity();
+  }
 
   uint32_t FreeCount() const;
 

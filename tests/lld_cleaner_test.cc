@@ -737,6 +737,34 @@ TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
   EXPECT_GE(Waf(c.user_bytes_written, stats.total_bytes_written), 1.0);
 }
 
+// A victim summary whose ext_bytes claims more than the data area is typed
+// CORRUPTION from the summary reader; the cleaner must not size a read from
+// the wrapped-around extension start. The volume stays readable.
+TEST(LldCleanerTest, VictimSummaryWithOutOfRangeExtBytesIsTypedCorruption) {
+  Rig rig;
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 200; ++i) {
+    pred = *rig.lld->NewBlock(rig.list, pred);
+    ASSERT_TRUE(rig.lld->Write(pred, Pattern(4096, i)).ok());
+    bids.push_back(pred);
+  }
+  ASSERT_TRUE(rig.lld->Flush().ok());
+  for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+    if (rig.lld->usage_table().segment(s).state == SegmentState::kFull) {
+      // Bit 7 of byte 27: the top byte of the header's ext_bytes.
+      ASSERT_TRUE(rig.disk->CorruptSector(rig.lld->SegmentSummaryStartByte(s) / 512, 27, 0x80)
+                      .ok());
+    }
+  }
+  EXPECT_EQ(rig.lld->CleanSegments(rig.lld->num_segments()).code(), ErrorCode::kCorruption);
+  std::vector<uint8_t> out(4096);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE(rig.lld->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, i));
+  }
+}
+
 TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {
   // At higher utilization, the cleaner copies more bytes per reclaimed
   // segment — the fundamental LFS cost curve.

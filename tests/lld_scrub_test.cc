@@ -492,5 +492,146 @@ TEST(LldScrubTest, MidLogSummaryCorruptionFailsOpenTyped) {
   EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption) << reopened.status().ToString();
 }
 
+// One damage table, three readers. The cleaner, scrub and recovery read a
+// summary and its spilled extension through one shared reader. For each kind
+// of damage to a spilled summary the table pins the cleaner's status, scrub's
+// suspect count, and whether Open refuses the volume or discards the summary
+// as a torn tail (it does so when the damaged summary still claims a
+// trustworthy seq newer than every valid one).
+enum class SummaryDamage {
+  kZeroedMagic,
+  kExtBytesOutOfRange,
+  kForeignSegmentIndex,
+  kSpilledRecordFlip,
+  kLatentExtensionSector,
+};
+
+LldOptions SpillOptions() {
+  LldOptions options = NoParityOptions();
+  options.segment_bytes = 64 * 1024;
+  options.summary_bytes = 4096;
+  return options;
+}
+
+// Fills segments with records only (blocks allocated, never written), then
+// cleans them: the re-logged allocations and links overflow the cleaner
+// image's summary tail into its data area. Returns that segment, which holds
+// the newest summary on the volume.
+uint32_t BuildSpilledSegment(LogStructuredDisk* lld) {
+  const Lid list = *lld->NewList(kBeginOfListOfLists, ListHints{});
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 600; ++i) {
+    pred = *lld->NewBlock(list, pred);
+  }
+  EXPECT_TRUE(lld->Flush().ok());
+  EXPECT_TRUE(lld->CleanSegments(lld->num_segments()).ok());
+  uint32_t newest = 0;
+  for (uint32_t s = 0; s < lld->num_segments(); ++s) {
+    const SegmentUsage& u = lld->usage_table().segment(s);
+    if (u.state == SegmentState::kFull && u.seq > lld->usage_table().segment(newest).seq) {
+      newest = s;
+    }
+  }
+  return newest;
+}
+
+void ApplySummaryDamage(ScrubRig& rig, LogStructuredDisk* lld, uint32_t seg,
+                        SummaryDamage damage) {
+  const uint64_t tail_sector = lld->SegmentSummaryStartByte(seg) / kSectorSize;
+  std::vector<uint8_t> tail(SpillOptions().summary_bytes);
+  ASSERT_TRUE(rig.disk->Read(tail_sector, tail).ok());
+  SummaryHeader header;
+  ASSERT_TRUE(DecodeSummaryHeader(tail, &header).ok());
+  ASSERT_GT(header.ext_bytes, 0u) << "segment " << seg << " did not spill";
+  const uint64_t ext_byte = lld->SegmentSummaryStartByte(seg) - header.ext_bytes;
+  switch (damage) {
+    case SummaryDamage::kZeroedMagic:
+      for (uint32_t i = 0; i < 4; ++i) {
+        ASSERT_TRUE(rig.disk->CorruptSector(tail_sector, i, tail[i]).ok());
+      }
+      break;
+    case SummaryDamage::kExtBytesOutOfRange:
+      // Bit 7 of the top byte of ext_bytes.
+      ASSERT_TRUE(rig.disk->CorruptSector(tail_sector, 27, 0x80).ok());
+      break;
+    case SummaryDamage::kForeignSegmentIndex: {
+      // A well-formed summary (valid CRC) that names another segment.
+      const uint64_t ext_sector = ext_byte / kSectorSize;
+      std::vector<uint8_t> ext((tail_sector - ext_sector) * kSectorSize);
+      ASSERT_TRUE(rig.disk->Read(ext_sector, ext).ok());
+      std::vector<SummaryRecord> records;
+      ASSERT_TRUE(DecodeSummary(tail, ext, &header, &records).ok());
+      header.segment_index = seg + 1;
+      ASSERT_TRUE(EncodeSummary(header, records, tail, ext).ok());
+      ASSERT_TRUE(rig.disk->Write(tail_sector, tail).ok());
+      ASSERT_TRUE(rig.disk->Write(ext_sector, ext).ok());
+      break;
+    }
+    case SummaryDamage::kSpilledRecordFlip:
+      ASSERT_TRUE(
+          rig.disk->CorruptSector((ext_byte + 1) / kSectorSize, (ext_byte + 1) % kSectorSize, 0x10)
+              .ok());
+      break;
+    case SummaryDamage::kLatentExtensionSector:
+      rig.disk->InjectLatentError(ext_byte / kSectorSize);
+      break;
+  }
+}
+
+TEST(LldScrubTest, SpilledSummaryDamageGetsOneVerdictFromEveryReader) {
+  struct Row {
+    SummaryDamage damage;
+    const char* name;
+    ErrorCode cleaner;
+    ErrorCode open;
+  };
+  const Row rows[] = {
+      // The cleaner reads a summary without magic as a never-written
+      // segment and harvests nothing from it.
+      {SummaryDamage::kZeroedMagic, "zeroed magic", ErrorCode::kOk, ErrorCode::kCorruption},
+      {SummaryDamage::kExtBytesOutOfRange, "ext_bytes out of range", ErrorCode::kCorruption,
+       ErrorCode::kCorruption},
+      {SummaryDamage::kForeignSegmentIndex, "foreign segment_index", ErrorCode::kCorruption,
+       ErrorCode::kCorruption},
+      // The header is intact, so recovery trusts its seq: the newest on the
+      // volume, which reads as a torn tail and is discarded.
+      {SummaryDamage::kSpilledRecordFlip, "spilled record flip", ErrorCode::kCorruption,
+       ErrorCode::kOk},
+      {SummaryDamage::kLatentExtensionSector, "latent extension sector", ErrorCode::kIoError,
+       ErrorCode::kOk},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    {
+      ScrubRig rig;
+      auto lld = rig.Format(SpillOptions());
+      const uint32_t seg = BuildSpilledSegment(lld.get());
+      ApplySummaryDamage(rig, lld.get(), seg, row.damage);
+      EXPECT_EQ(lld->CleanSegments(lld->num_segments()).code(), row.cleaner);
+    }
+    {
+      ScrubRig rig;
+      auto lld = rig.Format(SpillOptions());
+      const uint32_t seg = BuildSpilledSegment(lld.get());
+      ApplySummaryDamage(rig, lld.get(), seg, row.damage);
+      auto report = lld->ScrubStep(lld->num_segments());
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->suspect_segments, 1u);
+    }
+    {
+      ScrubRig rig;
+      {
+        auto lld = rig.Format(SpillOptions());
+        const uint32_t seg = BuildSpilledSegment(lld.get());
+        ApplySummaryDamage(rig, lld.get(), seg, row.damage);
+        rig.disk->CrashNow();
+      }
+      rig.disk->ClearFault();
+      EXPECT_EQ(LogStructuredDisk::Open(rig.disk.get(), SpillOptions()).status().code(),
+                row.open);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ld
