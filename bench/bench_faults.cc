@@ -432,7 +432,7 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
   ASSIGN_OR_RETURN(auto lld, LogStructuredDisk::Format(&disk, options));
   ASSIGN_OR_RETURN(const Lid list, lld->NewList(kBeginOfListOfLists, ListHints{}));
 
-  MaintenanceOptions mo = EnvMaintenanceOptions();
+  MaintenanceOptions mo;
   mo.tenant = 1;
   MaintenanceScheduler sched(lld.get(), mo);
 

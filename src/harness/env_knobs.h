@@ -14,7 +14,6 @@
 
 #include "src/disk/device_factory.h"
 #include "src/disk/qos.h"
-#include "src/lld/lld_maintenance.h"
 #include "src/lld/lld_options.h"
 
 namespace ld {
@@ -186,32 +185,6 @@ inline QosConfig EnvQosConfig(const QosConfig& fallback = QosConfig{}) {
 // keeps every maintenance operation a foreground call — the differential
 // baseline the CI byte-identity step compares against.
 inline bool EnvMaintenance(bool fallback) { return EnvFlag("LD_MAINT", fallback); }
-
-// Maintenance pacing overrides: LD_MAINT_IDLE_MS (quiet window required
-// before a slice), LD_MAINT_SCRUB_SEGMENTS / LD_MAINT_REBUILD_SEGMENTS
-// (slice sizes). Unset keeps the scheduler defaults.
-inline MaintenanceOptions EnvMaintenanceOptions(
-    MaintenanceOptions options = MaintenanceOptions{}) {
-  if (const char* v = std::getenv("LD_MAINT_IDLE_MS")) {
-    const double ms = std::atof(v);
-    if (ms >= 0.0) {
-      options.idle_threshold_ms = ms;
-    }
-  }
-  if (const char* v = std::getenv("LD_MAINT_SCRUB_SEGMENTS")) {
-    const int n = std::atoi(v);
-    if (n > 0) {
-      options.scrub_segments_per_slice = static_cast<uint32_t>(n);
-    }
-  }
-  if (const char* v = std::getenv("LD_MAINT_REBUILD_SEGMENTS")) {
-    const int n = std::atoi(v);
-    if (n > 0) {
-      options.rebuild_segments_per_slice = static_cast<uint32_t>(n);
-    }
-  }
-  return options;
-}
 
 // HP C3010 options honoring the environment overrides.
 inline DeviceOptions EnvHpC3010(uint64_t partition_bytes) {

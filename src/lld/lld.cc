@@ -10,15 +10,8 @@ namespace ld {
 
 namespace {
 
-// Fixed bytes of a serialized summary besides the records: header + CRC.
-constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
-
 // Largest size class the summary encoding can express.
 constexpr uint32_t kMaxBlockSize = 65535;
-
-uint64_t RoundUp(uint64_t value, uint64_t multiple) {
-  return (value + multiple - 1) / multiple * multiple;
-}
 
 }  // namespace
 
@@ -203,26 +196,34 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Open(
 // ---- Open-segment management --------------------------------------------------
 
 Status LogStructuredDisk::EnsureRoom(uint32_t data_bytes, size_t record_bytes) {
-  // With segment parity on, the seal will place a parity block after the
-  // sector-rounded data area and log one extra record; both must be
-  // reserved here or the seal could overflow the segment.
-  const uint32_t parity_reserve = ParityReserve(std::max(open_max_stored_, data_bytes));
-  const size_t parity_record =
-      parity_reserve > 0 ? SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize() : 0;
-  const bool data_fits =
-      RoundUp(open_data_used_ + data_bytes, device_->sector_size()) + parity_reserve <=
-      data_capacity_;
-  const bool records_fit = open_record_bytes_ + record_bytes + parity_record + kSummaryOverhead <=
-                           options_.summary_bytes;
-  if (data_fits && records_fit) {
+  if (SealFits(open_data_used_ + data_bytes, std::max(open_max_stored_, data_bytes),
+               open_record_bytes_ + record_bytes)) {
     return OkStatus();
   }
   RETURN_IF_ERROR(FlushOpenSegmentFull());
-  if (RoundUp(data_bytes, device_->sector_size()) + ParityReserve(data_bytes) > data_capacity_ ||
-      record_bytes + parity_record + kSummaryOverhead > options_.summary_bytes) {
+  if (!SealFits(data_bytes, data_bytes, record_bytes)) {
     return InvalidArgumentError("request larger than a segment");
   }
   return OkStatus();
+}
+
+uint64_t LogStructuredDisk::SealedDataBytes(uint64_t fill, uint32_t max_stored) const {
+  const uint32_t reserve = ParityReserve(max_stored);
+  return reserve == 0 ? fill : RoundUp(fill, device_->sector_size()) + reserve;
+}
+
+bool LogStructuredDisk::SealFits(uint64_t fill, uint32_t max_stored, size_t record_bytes,
+                                 int64_t spill_room) const {
+  // With segment parity on, the seal places a parity block after the
+  // sector-rounded fill and logs one extra record; both are reserved here
+  // or the seal could overflow the segment. A fill that fits the
+  // (sector-aligned) data area fits it sector-rounded too.
+  const size_t parity_record = ParityReserve(max_stored) > 0
+                                   ? SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize()
+                                   : 0;
+  return SealedDataBytes(fill, max_stored) <= data_capacity_ &&
+         static_cast<int64_t>(record_bytes + parity_record + kSummaryOverhead) <=
+             static_cast<int64_t>(options_.summary_bytes) + spill_room;
 }
 
 Status LogStructuredDisk::AppendRecord(const SummaryRecord& record) {
@@ -271,21 +272,20 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   return OkStatus();
 }
 
-Status LogStructuredDisk::BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index,
-                                           uint64_t seq, uint32_t data_bytes) {
-  SummaryHeader header;
-  header.seq = seq;
-  header.segment_index = segment_index;
-  header.data_bytes = data_bytes;
-  return EncodeSummary(header, open_records_, buffer.subspan(data_capacity_));
-}
-
 Status LogStructuredDisk::ReadSegmentSummary(uint32_t seg, std::span<const uint8_t> tail,
                                              SegmentSummary* out,
                                              std::span<const uint8_t> image) {
   SummaryHeader& header = out->header;
   out->header_valid = false;
-  RETURN_IF_ERROR(DecodeSummaryHeader(tail, &header));
+  if (Status s = DecodeSummaryHeader(tail, &header); !s.ok()) {
+    // No magic. A never-written, scrub-retired or blank-spare summary is all
+    // zeros; over any other bytes the magic itself was damaged.
+    if (s.code() == ErrorCode::kNotFound &&
+        std::any_of(tail.begin(), tail.end(), [](uint8_t b) { return b != 0; })) {
+      return CorruptionError("segment " + std::to_string(seg) + " summary has no magic");
+    }
+    return s;
+  }
   if (header.ext_bytes > data_capacity_ || header.segment_index != seg) {
     return CorruptionError("segment " + std::to_string(seg) + " summary header claims segment " +
                            std::to_string(header.segment_index) + " and " +
@@ -347,6 +347,9 @@ StatusOr<uint32_t> LogStructuredDisk::AllocateFreeSegment(bool allow_clean) {
 }
 
 int64_t LogStructuredDisk::PickFreeSegmentStriped() {
+  if (writer_placement_hint_ >= 0) {
+    return usage_->PickFreeNear(static_cast<uint32_t>(writer_placement_hint_));
+  }
   const uint32_t nch = device_->num_channels();
   if (nch <= 1) {
     return usage_->PickFree();
@@ -434,31 +437,28 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     open_record_bytes_ += group_bytes;
     redeclare_groups_.erase(redeclare_groups_.begin());
   }
-  const uint64_t seq = next_seq_++;
-  SegmentUsage parity_info;
-  const bool has_parity =
-      AddSegmentParity(open_buffer_, open_data_used_, open_max_stored_, &open_records_,
-                       &parity_info);
-  RETURN_IF_ERROR(BuildSummaryInto(open_buffer_, target, seq, open_data_used_));
+  ASSIGN_OR_RETURN(const SealedImage sealed,
+                   SealImage(open_buffer_, target, open_data_used_, open_max_stored_,
+                             &open_records_));
 
   // Double buffering: the sealed image moves into an InflightWrite and is
   // submitted asynchronously; a recycled (or fresh) buffer becomes the open
   // segment and starts accepting the next segment's writes immediately.
-  std::vector<uint8_t> sealed = std::move(open_buffer_);
+  std::vector<uint8_t> image = std::move(open_buffer_);
   if (!spare_buffers_.empty()) {
     open_buffer_ = std::move(spare_buffers_.back());
     spare_buffers_.pop_back();
   } else {
-    open_buffer_.assign(sealed.size(), 0);
+    open_buffer_.assign(image.size(), 0);
   }
   StatusOr<IoTag> tag =
-      io_.SubmitWrite(SegmentBaseByte(target) / device_->sector_size(), sealed);
+      io_.SubmitWrite(SegmentBaseByte(target) / device_->sector_size(), image);
   if (!tag.ok()) {
     // Device failure surviving the retry shim: restore the sealed image as
     // the open segment so state stays consistent (no metadata was updated),
     // then go read-only — the log can no longer accept this segment.
     spare_buffers_.push_back(std::move(open_buffer_));
-    open_buffer_ = std::move(sealed);
+    open_buffer_ = std::move(image);
     // Any stripe set formed for this seal dies with it: its records were
     // never submitted, so no parity image may reach the media either. The
     // parity targets reserved at planning time return to the free pool.
@@ -469,18 +469,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     return HandleWriteFailure(tag.status());
   }
 
-  SegmentUsage& seg = usage_->segment(target);
-  seg.state = SegmentState::kFull;
-  seg.seq = seq;
-  if (has_parity) {
-    seg.has_parity = true;
-    seg.parity_offset = parity_info.parity_offset;
-    seg.parity_bytes = parity_info.parity_bytes;
-    seg.parity_covered = parity_info.parity_covered;
-    seg.parity_crc = parity_info.parity_crc;
-  } else {
-    seg.ClearParity();
-  }
+  InstallSeal(target, SegmentState::kFull, sealed, open_records_);
   for (const Appended& a : open_appended_) {
     if (!block_map_.IsAllocated(a.bid)) {
       continue;
@@ -491,8 +480,6 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
       usage_->AddLive(target, a.stored, e.write_ts);
     }
   }
-  UpdateRecordAuthority(target, open_records_);
-  CaptureFrameSegment(target, seq, seg, open_records_);
   // Stripe parity images go out strictly *after* the sealing segment that
   // carries their records was submitted (submit order is crash order): a
   // crash between the two leaves records whose parity CRC does not verify —
@@ -509,7 +496,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     }
   }
   InflightWrite inflight;
-  inflight.buffer = std::move(sealed);
+  inflight.buffer = std::move(image);
   inflight.tag = *tag;
   if (scratch_segment_ >= 0) {
     inflight.scratch_free = scratch_segment_;
@@ -523,8 +510,6 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
   open_appended_.clear();
   open_max_stored_ = 0;
   dirty_since_flush_ = false;
-  counters_.segments_written++;
-  NoteSegmentImageWrite(target);
   // Superseded-in-ARU copies that lived in this buffer are now dead bytes in
   // `target`: resolve their sentinels into real pins so the cleaner cannot
   // recycle the segment before the owning units' commit records seal.
@@ -536,34 +521,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
       }
     }
   }
-  // Commit records of ended ARUs rode this seal: their shadow pins can drop.
-  // Safe even while the write is still in flight — the cleaner waits for
-  // in-flight segment writes before it touches any victim, so the seal is
-  // durable by the time a formerly pinned segment could be recycled.
-  for (uint32_t pinned : aru_pins_awaiting_seal_) {
-    usage_->UnpinAru(pinned);
-  }
-  aru_pins_awaiting_seal_.clear();
-  if (!options_.pipeline_segment_writes) {
-    RETURN_IF_ERROR(WaitForInflight());
-  }
-  // Checkpoint cadence rides the seal: every interval (or when the window
-  // runs low) the pending captures go out as a delta frame. This runs here —
-  // with the open buffer empty — rather than inside AllocateFreeSegment,
-  // where a rebase would recurse into a half-sealed flush. No-op when the
-  // seal came from a frame write itself (ckpt_in_frame_write_). With
-  // defer_checkpoint_frames, cadence-driven frames wait for CheckpointStep
-  // (the idle-time maintenance path); forced frames — the allocation window
-  // running out of free segments — must still go out inline, because new
-  // seals are confined to the window the latest durable frame recorded.
-  if (CheckpointingActive() && !ckpt_in_frame_write_) {
-    const bool force = usage_->AllocatableCount() <
-                       options_.segments_per_clean + static_cast<uint32_t>(MaxInflight()) + 2;
-    if (force || !options_.defer_checkpoint_frames) {
-      RETURN_IF_ERROR(MaybeWriteDeltaFrame(force));
-    }
-  }
-  return OkStatus();
+  return FinishForegroundSeal();
 }
 
 Status LogStructuredDisk::FlushOpenSegmentPartial() {
@@ -575,8 +533,10 @@ Status LogStructuredDisk::FlushOpenSegmentPartial() {
   // write — which the caller treats as a durability point — is issued.
   RETURN_IF_ERROR(WaitForInflight());
   ASSIGN_OR_RETURN(uint32_t target, AllocateFreeSegment(/*allow_clean=*/true));
-  const uint64_t seq = next_seq_++;
-  RETURN_IF_ERROR(BuildSummaryInto(open_buffer_, target, seq, open_data_used_));
+  // A scratch image carries no parity (max_stored 0): the segment is
+  // superseded by its eventual full write, which does.
+  ASSIGN_OR_RETURN(const SealedImage sealed,
+                   SealImage(open_buffer_, target, open_data_used_, 0, &open_records_));
 
   const uint32_t sector = device_->sector_size();
   const uint64_t base = SegmentBaseByte(target);
@@ -595,29 +555,76 @@ Status LogStructuredDisk::FlushOpenSegmentPartial() {
     return HandleWriteFailure(s);
   }
 
-  SegmentUsage& seg = usage_->segment(target);
-  seg.state = SegmentState::kScratch;
-  seg.seq = seq;
-  // Partial (scratch) writes carry no parity: the segment is superseded by
-  // its eventual full write, which does.
-  seg.ClearParity();
-  UpdateRecordAuthority(target, open_records_);
   // The scratch summary is durable (synchronous writes above), so a frame
   // may cover it; a later re-flush supersedes this capture in place.
-  CaptureFrameSegment(target, seq, seg, open_records_);
+  InstallSeal(target, SegmentState::kScratch, sealed, open_records_);
   if (scratch_segment_ >= 0) {
     usage_->segment(static_cast<uint32_t>(scratch_segment_)).state = SegmentState::kFree;
   }
   scratch_segment_ = target;
   dirty_since_flush_ = false;
-  counters_.partial_segments_written++;
+  return FinishForegroundSeal();
+}
+
+StatusOr<LogStructuredDisk::SealedImage> LogStructuredDisk::SealImage(
+    std::span<uint8_t> image, uint32_t target, uint32_t data_used, uint32_t max_stored,
+    std::vector<SummaryRecord>* records, std::span<uint8_t> spill) {
+  SealedImage sealed;
+  sealed.seq = next_seq_++;
+  // The parity record joins `records` before the summary is encoded.
+  sealed.parity = AddSegmentParity(image, data_used, max_stored, records);
+  SummaryHeader header;
+  header.seq = sealed.seq;
+  header.segment_index = target;
+  header.data_bytes = data_used;
+  RETURN_IF_ERROR(
+      EncodeSummary(header, *records, image.subspan(data_capacity_), spill, &sealed.spilled));
+  return sealed;
+}
+
+SegmentUsage& LogStructuredDisk::InstallSeal(uint32_t target, SegmentState state,
+                                             const SealedImage& sealed,
+                                             const std::vector<SummaryRecord>& records) {
+  SegmentUsage& seg = usage_->segment(target);
+  seg.state = state;
+  seg.seq = sealed.seq;
+  seg.parity = sealed.parity;
+  UpdateRecordAuthority(target, records);
+  // Frames cover every sealed image. A pipelined or cleaner image may still
+  // be in flight: the next frame waits for in-flight seals and is written
+  // after the cleaner's Drain() barrier, so the capture never outruns
+  // durability.
+  CaptureFrameSegment(target, sealed.seq, sealed.parity, records);
   NoteSegmentImageWrite(target);
-  // The partial image is durable (synchronous writes above), so commit
-  // records buffered before this flush are sealed: drop their shadow pins.
+  if (state == SegmentState::kScratch) {
+    counters_.partial_segments_written++;
+  } else {
+    counters_.segments_written++;
+  }
+  return seg;
+}
+
+Status LogStructuredDisk::FinishForegroundSeal() {
+  // Commit records of ended ARUs rode this seal: their shadow pins can drop.
+  // Safe even while a pipelined write is still in flight — the cleaner waits
+  // for in-flight segment writes before it touches any victim, so the seal
+  // is durable by the time a formerly pinned segment could be recycled.
   for (uint32_t pinned : aru_pins_awaiting_seal_) {
     usage_->UnpinAru(pinned);
   }
   aru_pins_awaiting_seal_.clear();
+  if (!options_.pipeline_segment_writes) {
+    RETURN_IF_ERROR(WaitForInflight());
+  }
+  // Checkpoint cadence rides the seal: every interval (or when the window
+  // runs low) the pending captures go out as a delta frame. This runs here —
+  // with the open buffer empty — rather than inside AllocateFreeSegment,
+  // where a rebase would recurse into a half-sealed flush. No-op when the
+  // seal came from a frame write itself (ckpt_in_frame_write_). With
+  // defer_checkpoint_frames, cadence-driven frames wait for CheckpointStep
+  // (the idle-time maintenance path); forced frames — the allocation window
+  // running out of free segments — must still go out inline, because new
+  // seals are confined to the window the latest durable frame recorded.
   if (CheckpointingActive() && !ckpt_in_frame_write_) {
     const bool force = usage_->AllocatableCount() <
                        options_.segments_per_clean + static_cast<uint32_t>(MaxInflight()) + 2;
@@ -730,12 +737,11 @@ uint32_t LogStructuredDisk::ParityReserve(uint32_t max_stored) const {
   return ParityBytesFor(max_stored);
 }
 
-bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
-                                         uint32_t max_stored,
-                                         std::vector<SummaryRecord>* records,
-                                         SegmentUsage* usage) {
+SegmentParity LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
+                                                  uint32_t max_stored,
+                                                  std::vector<SummaryRecord>* records) {
   if (!options_.segment_parity || data_used == 0 || max_stored == 0) {
-    return false;
+    return {};
   }
   const uint32_t sector = device_->sector_size();
   const uint32_t covered = static_cast<uint32_t>(RoundUp(data_used, sector));
@@ -743,7 +749,7 @@ bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t dat
   if (static_cast<uint64_t>(covered) + parity_bytes > data_capacity_) {
     // EnsureRoom reserves this space; a segment sealed without the reserve
     // (e.g. written before the option was turned on) just goes out bare.
-    return false;
+    return {};
   }
   uint8_t* parity = buffer.data() + covered;
   std::memset(parity, 0, parity_bytes);
@@ -753,29 +759,24 @@ bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t dat
   const uint32_t parity_crc = PayloadCrc(std::span<const uint8_t>(parity, parity_bytes));
   records->push_back(
       SummaryRecord::SegmentParity(NextTs(), covered, parity_bytes, covered, parity_crc));
-  usage->has_parity = true;
-  usage->parity_offset = covered;
-  usage->parity_bytes = parity_bytes;
-  usage->parity_covered = covered;
-  usage->parity_crc = parity_crc;
-  return true;
+  return SegmentParity{true, covered, parity_bytes, covered, parity_crc};
 }
 
 Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
                                             std::span<uint8_t> out) {
-  const SegmentUsage& seg = usage_->segment(segment);
-  if (!seg.has_parity) {
+  const SegmentParity& geometry = usage_->segment(segment).parity;
+  if (!geometry.has) {
     return FailedPreconditionError("segment has no parity block");
   }
   const uint32_t sector = device_->sector_size();
   const uint64_t base = SegmentBaseByte(segment);
-  const uint32_t period = seg.parity_bytes;
+  const uint32_t period = geometry.bytes;
   // Widen the damaged range to sector boundaries: an unreadable sector loses
   // every byte it holds, so the whole aligned extent must be re-derived.
   const uint32_t ext_start = offset / sector * sector;
   const uint32_t ext_end = std::min(
-      static_cast<uint32_t>(RoundUp(offset + out.size(), sector)), seg.parity_covered);
-  if (offset + out.size() > seg.parity_covered) {
+      static_cast<uint32_t>(RoundUp(offset + out.size(), sector)), geometry.covered);
+  if (offset + out.size() > geometry.covered) {
     return FailedPreconditionError("extent outside the parity-covered area");
   }
   if (ext_end - ext_start > period) {
@@ -786,10 +787,10 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
   std::vector<uint8_t> parity(period);
   {
     std::vector<uint8_t> span(RoundUp(period, sector));
-    RETURN_IF_ERROR(io_.Read((base + seg.parity_offset) / sector, std::span<uint8_t>(span)));
+    RETURN_IF_ERROR(io_.Read((base + geometry.offset) / sector, std::span<uint8_t>(span)));
     std::memcpy(parity.data(), span.data(), period);
   }
-  if (PayloadCrc(parity) != seg.parity_crc) {
+  if (PayloadCrc(parity) != geometry.crc) {
     return CorruptionError("segment parity block is itself damaged");
   }
 
@@ -811,7 +812,7 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
     return OkStatus();
   };
   RETURN_IF_ERROR(absorb(0, ext_start));
-  RETURN_IF_ERROR(absorb(ext_end, seg.parity_covered));
+  RETURN_IF_ERROR(absorb(ext_end, geometry.covered));
 
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = parity[(offset + i) % period];
@@ -822,7 +823,7 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
 Status LogStructuredDisk::TryReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                std::span<uint8_t> out, const Status& damage) {
   if (!entry.phys.IsOnDisk() || !entry.has_payload_crc ||
-      !usage_->segment(entry.phys.segment).has_parity) {
+      !usage_->segment(entry.phys.segment).parity.has) {
     return damage;
   }
   if (Status s = ReconstructExtent(entry.phys.segment, entry.phys.offset, out); !s.ok()) {

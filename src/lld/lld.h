@@ -48,6 +48,12 @@
 
 namespace ld {
 
+// `value` rounded up to a multiple of `multiple`: the sector and frame
+// layout arithmetic of the LLD sources.
+inline uint64_t RoundUp(uint64_t value, uint64_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
 // Operation counters exposed for tests and benchmarks.
 struct LldCounters {
   uint64_t user_writes = 0;           // Write() calls.
@@ -343,6 +349,17 @@ class LogStructuredDisk : public LogicalDisk {
   // Ensures at least `data_bytes` of data space and room for `record_bytes`
   // of summary records, flushing the open segment (as full) if necessary.
   Status EnsureRoom(uint32_t data_bytes, size_t record_bytes);
+  // The one capacity rule for an image being filled, shared by the open
+  // segment and the cleaner's writer: `fill` data bytes (largest block
+  // `max_stored`) plus the parity reserve fit the data area, and
+  // `record_bytes` plus the parity record and kSummaryOverhead fit the
+  // summary tail plus `spill_room` (negative shrinks the tail).
+  bool SealFits(uint64_t fill, uint32_t max_stored, size_t record_bytes,
+                int64_t spill_room = 0) const;
+  // Data-area bytes an image filled to `fill` occupies once sealed: the
+  // fill, or with segment parity the sector-rounded fill plus the parity
+  // block.
+  uint64_t SealedDataBytes(uint64_t fill, uint32_t max_stored) const;
   // Appends a record, flushing first if the summary area is full.
   Status AppendRecord(const SummaryRecord& record);
   // Appends all of one operation's records with a single room check so a
@@ -371,11 +388,37 @@ class LogStructuredDisk : public LogicalDisk {
   StatusOr<uint32_t> AllocateFreeSegment(bool allow_clean);
   // Free-segment choice that stripes consecutive picks round-robin across
   // the device's channels (first-free within the preferred channel's band);
-  // degenerates to UsageTable::PickFree on single-channel devices.
+  // degenerates to UsageTable::PickFree on single-channel devices. A
+  // writer_placement_hint_ overrides both: the free segment nearest it.
   int64_t PickFreeSegmentStriped();
-  // Serializes the current records into the summary area of `buffer`.
-  Status BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index, uint64_t seq,
-                          uint32_t data_bytes);
+
+  // ---- The segment seal (paper §3.2–3.5) ---------------------------------
+  // Every image that reaches the disk — a full seal, a partial (scratch)
+  // image, a cleaner output segment — is sealed and installed by the two
+  // routines below. How the image reaches the device, and what moves into the
+  // new segment, stay with each caller.
+  struct SealedImage {
+    uint64_t seq = 0;
+    SegmentParity parity;
+    uint32_t spilled = 0;  // Record bytes that overflowed into `spill`.
+  };
+  // Seals `image` for `target` in place: takes the next sequence number,
+  // lays the parity block after the `data_used` fill (none when
+  // `max_stored` is 0) and appends its record, then encodes `records` into
+  // the summary tail. Records that overflow the tail go to the end of
+  // `spill`; an empty `spill` forbids it.
+  StatusOr<SealedImage> SealImage(std::span<uint8_t> image, uint32_t target, uint32_t data_used,
+                                  uint32_t max_stored, std::vector<SummaryRecord>* records,
+                                  std::span<uint8_t> spill = {});
+  // Bookkeeping once the sealed image of `target` is submitted: state
+  // (kFull or kScratch), seq and parity descriptor, record authority, the
+  // checkpoint frame capture, wear, and the full or partial seal counter.
+  SegmentUsage& InstallSeal(uint32_t target, SegmentState state, const SealedImage& sealed,
+                            const std::vector<SummaryRecord>& records);
+  // After a foreground (full or partial) seal: the commit records it
+  // carried are sealed, so their units' shadow pins drop; a non-pipelined
+  // seal becomes durable; then the checkpoint cadence runs.
+  Status FinishForegroundSeal();
 
   // The summary reader: the one place that knows where a summary's spilled
   // extension sits and which header values to trust. Decodes segment `seg`'s
@@ -406,11 +449,11 @@ class LogStructuredDisk : public LogicalDisk {
   uint32_t ParityReserve(uint32_t max_stored) const;
   // Computes the parity block over `buffer`'s data area ([0, data_used),
   // padded to the sector boundary), stores it in the buffer at the padded
-  // offset, appends the kSegmentParity record, and reports the geometry in
-  // `usage`. Returns false (leaving everything untouched) when the segment
+  // offset, appends the kSegmentParity record, and returns the geometry.
+  // Returns no parity (leaving everything untouched) when the segment
   // carries no data or parity is off.
-  bool AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used, uint32_t max_stored,
-                        std::vector<SummaryRecord>* records, SegmentUsage* usage);
+  SegmentParity AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
+                                 uint32_t max_stored, std::vector<SummaryRecord>* records);
   // Rebuilds the bytes of the sector-aligned extent around
   // [offset, offset + out.size()) of `segment`'s data area from the
   // segment's parity block, writing just the requested byte range into
@@ -709,7 +752,7 @@ class LogStructuredDisk : public LogicalDisk {
   }
   // Records a sealed-and-durable segment's summary records for the next
   // delta frame (no-op unless CheckpointingActive()).
-  void CaptureFrameSegment(uint32_t segment, uint64_t seq, const SegmentUsage& parity,
+  void CaptureFrameSegment(uint32_t segment, uint64_t seq, const SegmentParity& parity,
                            const std::vector<SummaryRecord>& records);
   // Records a scrub-retired segment (summary zeroed in place) for the next
   // delta frame, so chain replay does not resurrect it as kFull.
@@ -818,9 +861,9 @@ class LogStructuredDisk : public LogicalDisk {
   bool degraded_ = false;
   std::string degraded_cause_;
   bool cleaning_ = false;         // Re-entrancy guard.
-  // When >= 0, the cleaner's segment writer places its output as close to
-  // this segment index as possible (used by RearrangeHotBlocks to center
-  // the hot set); -1 = first-free placement.
+  // When >= 0, PickFreeSegmentStriped places the cleaner writer's output as
+  // close to this segment index as possible (used by RearrangeHotBlocks to
+  // center the hot set); -1 = striped placement.
   int64_t writer_placement_hint_ = -1;
   bool dirty_since_flush_ = false;
 
@@ -856,7 +899,7 @@ class LogStructuredDisk : public LogicalDisk {
   struct PendingFrameSegment {
     uint32_t segment = 0;
     uint64_t seq = 0;
-    SegmentUsage parity;  // Only the parity fields are meaningful.
+    SegmentParity parity;
     std::vector<SummaryRecord> records;
   };
   std::vector<PendingFrameSegment> ckpt_pending_;

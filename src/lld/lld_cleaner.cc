@@ -353,60 +353,25 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
   uint32_t used = 0;
   uint32_t image_max_stored = 0;  // Largest stored block in the current image.
   const uint32_t sector = device_->sector_size();
-  const size_t overhead = SummaryHeader::kEncodedSize + 16;
-  // Per-image parity reservation: bytes at the end of the data fill for the
-  // parity block, plus its summary record. Zero with segment_parity off, so
-  // the capacity math below is unchanged from the parity-free layout.
-  const auto parity_record_size = [] {
-    return SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize();
-  };
 
   auto flush_segment = [&]() -> Status {
     if (records.empty()) {
       return OkStatus();
     }
-    // Default placement stripes cleaner output round-robin across channels
-    // (like foreground segment writes) so copied-out segments overlap with
-    // victim reads on other actuators; an explicit placement hint
-    // (RearrangeHotBlocks) still wins.
-    int64_t target = writer_placement_hint_ >= 0
-                         ? usage_->PickFreeNear(static_cast<uint32_t>(writer_placement_hint_))
-                         : PickFreeSegmentStriped();
-    if (target < 0 && CheckpointingActive() && usage_->FreeCount() > 0) {
-      // The allocation window has no room left for the copied state. Freeing
-      // the confinement (and the chain with it) is the sound move; the next
-      // open simply scans the log.
-      RETURN_IF_ERROR(DisableIncrementalCheckpoints("cleaner outgrew the allocation window"));
-      target = writer_placement_hint_ >= 0
-                   ? usage_->PickFreeNear(static_cast<uint32_t>(writer_placement_hint_))
-                   : PickFreeSegmentStriped();
+    ASSIGN_OR_RETURN(const uint32_t target, AllocateFreeSegment(/*allow_clean=*/false));
+    ASSIGN_OR_RETURN(const SealedImage sealed,
+                     SealImage(buffer, target, used, image_max_stored, &records,
+                               buffer.subspan(used, data_capacity_ - used)));
+    if (sealed.parity.has) {
+      c.image_head = sealed.parity.offset + sealed.parity.bytes;
     }
-    if (target < 0) {
-      return NoSpaceError("cleaner: no free segment for copied state");
-    }
-    const uint64_t seq = next_seq_++;
-    // Cleaner-written segments carry parity like foreground ones; the record
-    // must join `records` before the summary is encoded.
-    SegmentUsage parity_info;
-    const bool has_parity =
-        AddSegmentParity(buffer, used, image_max_stored, &records, &parity_info);
-    if (has_parity) {
-      c.image_head = parity_info.parity_offset + parity_info.parity_bytes;
-    }
-    SummaryHeader header;
-    header.seq = seq;
-    header.segment_index = static_cast<uint32_t>(target);
-    header.data_bytes = used;
-    uint32_t ext_used = 0;
-    RETURN_IF_ERROR(EncodeSummary(header, records, buffer.subspan(data_capacity_),
-                                  buffer.subspan(used, data_capacity_ - used), &ext_used));
-    c.image_spill = ext_used;
+    c.image_spill = sealed.spilled;
     // Cleaning overlaps foreground traffic: segment images are *submitted*
     // to the device queue (data is captured at submit, so `buffer` can be
     // reused for the next image immediately); the Drain() at the end of
     // WriteCleanerBatch is the durability barrier before victims are freed.
-    const uint64_t base = SegmentBaseByte(static_cast<uint32_t>(target));
-    if (ext_used > 0) {
+    const uint64_t base = SegmentBaseByte(target);
+    if (sealed.spilled > 0) {
       // Data, extension, and summary in one whole-segment write.
       if (Status s = io_.SubmitWrite(base / sector, buffer).status(); !s.ok()) {
         return HandleWriteFailure(s);
@@ -415,10 +380,9 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
       if (used > 0) {
         // The parity block sits just past the sector-rounded data fill, so
         // the data write is extended to carry it in the same request.
-        const uint64_t data_len =
-            has_parity
-                ? static_cast<uint64_t>(parity_info.parity_offset) + parity_info.parity_bytes
-                : (static_cast<uint64_t>(used) + sector - 1) / sector * sector;
+        const uint64_t data_len = sealed.parity.has
+                                      ? sealed.parity.offset + sealed.parity.bytes
+                                      : RoundUp(used, sector);
         if (Status s = io_.SubmitWrite(base / sector, buffer.subspan(0, data_len)).status();
             !s.ok()) {
           return HandleWriteFailure(s);
@@ -432,22 +396,11 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
       }
     }
 
-    SegmentUsage& seg = usage_->segment(static_cast<uint32_t>(target));
-    seg.state = SegmentState::kFull;
-    seg.seq = seq;
-    if (has_parity) {
-      seg.has_parity = true;
-      seg.parity_offset = parity_info.parity_offset;
-      seg.parity_bytes = parity_info.parity_bytes;
-      seg.parity_covered = parity_info.parity_covered;
-      seg.parity_crc = parity_info.parity_crc;
-    } else {
-      seg.ClearParity();
-    }
-    if (ext_used > 0) {
+    SegmentUsage& seg = InstallSeal(target, SegmentState::kFull, sealed, records);
+    if (sealed.spilled > 0) {
       // Re-logged metadata carries no data age: 0 leaves age_ts alone, so a
       // record-only segment falls back to newest_ts in the scoring.
-      usage_->AddLiveAged(static_cast<uint32_t>(target), ext_used, next_ts_, 0);
+      usage_->AddLiveAged(target, sealed.spilled, next_ts_, 0);
     }
     // Hot/cold generation split: everything in this image survived at least
     // one cleaning pass, so the segment is tagged cold and each block keeps
@@ -457,7 +410,6 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
     // it.
     seg.cold = true;
     counters_.cold_segments_written++;
-    UpdateRecordAuthority(static_cast<uint32_t>(target), records);
     for (const auto& r : records) {
       if (r.type != SummaryRecordType::kBlockEntry) {
         continue;
@@ -465,64 +417,26 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
       BlockMapEntry& e = block_map_.entry(r.bid);
       const OpTimestamp age = e.write_ts;
       usage_->RemoveLive(e.phys.segment, e.stored_size);
-      e.phys = PhysAddr{static_cast<uint32_t>(target), r.offset};
+      e.phys = PhysAddr{target, r.offset};
       e.write_ts = r.ts;
       e.payload_crc = r.payload_crc;
       e.has_payload_crc = true;
-      usage_->AddLiveAged(static_cast<uint32_t>(target), r.stored_size, r.ts, age);
+      usage_->AddLiveAged(target, r.stored_size, r.ts, age);
     }
-    // Frames cover cleaner-written segments like foreground ones; the next
-    // frame is only written after this batch's Drain() barrier, so the
-    // capture never outruns durability.
-    CaptureFrameSegment(static_cast<uint32_t>(target), seq, seg, records);
     records.clear();
     record_bytes = 0;
     used = 0;
     image_max_stored = 0;
     clear_image();
-    counters_.segments_written++;
-    NoteSegmentImageWrite(static_cast<uint32_t>(target));
-    return OkStatus();
-  };
-
-  // Footprint of the parity reservation inside the data area: alignment pad
-  // up to the sector-rounded fill, plus the parity block itself. 0 when
-  // parity is off (the capacity math reduces to the parity-free layout).
-  auto parity_footprint = [&](uint64_t fill, uint32_t max_stored) -> uint64_t {
-    const uint32_t reserve = ParityReserve(max_stored);
-    if (reserve == 0) {
-      return 0;
-    }
-    const uint64_t covered = (fill + sector - 1) / sector * sector;
-    return (covered - fill) + reserve;
-  };
-
-  auto append_record = [&](const SummaryRecord& r) -> Status {
-    // Records fill the summary tail first and may spill into the unused end
-    // of the data area (leaving one sector of slack, after the parity
-    // reservation).
-    const size_t parity_rec = ParityReserve(image_max_stored) > 0 ? parity_record_size() : 0;
-    const uint64_t capacity =
-        (options_.summary_bytes - overhead - parity_rec) +
-        (static_cast<uint64_t>(data_capacity_) - used - parity_footprint(used, image_max_stored)) -
-        sector;
-    if (record_bytes + r.EncodedSize() > capacity) {
-      RETURN_IF_ERROR(flush_segment());
-    }
-    records.push_back(r);
-    record_bytes += r.EncodedSize();
     return OkStatus();
   };
 
   for (const auto& b : batch.blocks) {
     SummaryRecord proto;
     proto.type = SummaryRecordType::kBlockEntry;
-    const uint32_t next_max =
-        std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
-    const size_t parity_rec = ParityReserve(next_max) > 0 ? parity_record_size() : 0;
-    if (used + b.stored.size() + parity_footprint(used + b.stored.size(), next_max) >
-            data_capacity_ ||
-        record_bytes + proto.EncodedSize() + parity_rec + overhead > options_.summary_bytes) {
+    if (!SealFits(used + b.stored.size(),
+                  std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size())),
+                  record_bytes + proto.EncodedSize())) {
       RETURN_IF_ERROR(flush_segment());
     }
     // The block may have been superseded while the cleaner was buffering.
@@ -544,8 +458,18 @@ Status LogStructuredDisk::WriteCleanerBatch(const CleanerBatch& batch) {
     records.push_back(entry);
     record_bytes += proto.EncodedSize();
   }
+  // Records fill the summary tail first and may spill into the unused end
+  // of the data area, leaving one sector of slack after the parity
+  // reservation.
   for (const auto& r : batch.records) {
-    RETURN_IF_ERROR(append_record(r));
+    const int64_t spill_room = static_cast<int64_t>(data_capacity_) -
+                               static_cast<int64_t>(SealedDataBytes(used, image_max_stored)) -
+                               sector;
+    if (!SealFits(used, image_max_stored, record_bytes + r.EncodedSize(), spill_room)) {
+      RETURN_IF_ERROR(flush_segment());
+    }
+    records.push_back(r);
+    record_bytes += r.EncodedSize();
   }
   RETURN_IF_ERROR(flush_segment());
   // Durability barrier: every submitted cleaner segment must be on disk
@@ -570,6 +494,17 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   // session that happened to trip the free-pool threshold.
   CleanerTenantScope tenant_scope(device_, options_);
 
+  std::vector<uint32_t> victims;
+  // Every exit before the victims are freed returns the whole round to
+  // kFull: a victim left kCleaning would never be cleaned or allocated again.
+  const auto abort_round = [&](const Status& status) {
+    for (uint32_t v : victims) {
+      usage_->segment(v).state = SegmentState::kFull;
+    }
+    cleaning_ = false;
+    return status;
+  };
+
   // The cleaner writes copied state into fresh segments *before* freeing the
   // victims, so the batch's live bytes must fit the current free pool (minus
   // one segment of slack for the user's next flush). Within that budget,
@@ -581,8 +516,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   // batch overcommit and die with NO_SPACE mid-write.
   const uint32_t free_now = usage_->AllocatableCount();
   if (free_now <= 1) {
-    cleaning_ = false;
-    return NoSpaceError("cleaner: free pool exhausted");
+    return abort_round(NoSpaceError("cleaner: free pool exhausted"));
   }
   const uint32_t writer_budget = free_now - 1;  // Segments the writer may consume.
   const uint32_t max_victims = std::max(count, 64u);
@@ -590,7 +524,6 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   CleanerBatch& batch = cleaner_.batch;
   batch.blocks.clear();
   batch.records.clear();
-  std::vector<uint32_t> victims;
   std::vector<uint32_t> victim_ext;  // Deferred ext-record release per victim.
   std::vector<VictimDataRead> reads;
   uint64_t batch_live = 0;
@@ -636,15 +569,13 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       break;  // Keep the in-flight copy within the free pool.
     }
     usage_->segment(static_cast<uint32_t>(victim)).state = SegmentState::kCleaning;
+    victims.push_back(static_cast<uint32_t>(victim));
     const size_t records_before = batch.records.size();
     VictimDataRead pending;
     uint32_t ext_live = 0;
-    const Status status =
-        HarvestVictim(static_cast<uint32_t>(victim), &batch, &pending, &ext_live);
-    if (!status.ok()) {
-      usage_->segment(static_cast<uint32_t>(victim)).state = SegmentState::kFull;
-      cleaning_ = false;
-      return status;
+    if (Status s = HarvestVictim(static_cast<uint32_t>(victim), &batch, &pending, &ext_live);
+        !s.ok()) {
+      return abort_round(s);
     }
     if (pending.bytes > 0) {
       reads.push_back(std::move(pending));
@@ -652,7 +583,6 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     for (size_t i = records_before; i < batch.records.size(); ++i) {
       batch_record_bytes += batch.records[i].EncodedSize();
     }
-    victims.push_back(static_cast<uint32_t>(victim));
     victim_ext.push_back(ext_live);
     batch_live += victim_live;
     const uint64_t reclaimed = victims.size() * static_cast<uint64_t>(data_capacity_);
@@ -661,8 +591,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     }
   }
   if (victims.empty()) {
-    cleaning_ = false;
-    return OkStatus();
+    return abort_round(OkStatus());
   }
 
   // Submit every victim's data-area read as one async batch: on a
@@ -709,11 +638,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       }
     }
     if (!failure.ok()) {
-      for (uint32_t v : victims) {
-        usage_->segment(v).state = SegmentState::kFull;
-      }
-      cleaning_ = false;
-      return failure;
+      return abort_round(failure);
     }
   }
 
@@ -725,21 +650,12 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   StatusOr<std::vector<uint32_t>> dissolved_parity =
       DissolveStripesTouching(victims, &batch.records);
   if (!dissolved_parity.ok()) {
-    for (uint32_t v : victims) {
-      usage_->segment(v).state = SegmentState::kFull;
-    }
-    cleaning_ = false;
-    return dissolved_parity.status();
+    return abort_round(dissolved_parity.status());
   }
 
   OrderByLists(&batch.blocks);
-  const Status status = WriteCleanerBatch(batch);
-  if (!status.ok()) {
-    for (uint32_t v : victims) {
-      usage_->segment(v).state = SegmentState::kFull;
-    }
-    cleaning_ = false;
-    return status;
+  if (Status s = WriteCleanerBatch(batch); !s.ok()) {
+    return abort_round(s);
   }
 
   for (uint32_t p : *dissolved_parity) {

@@ -53,7 +53,24 @@ constexpr uint8_t kFrameDelta = 1;
 // magic + kind + generation + chain_index + covered_seq + body_len + crc.
 constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 4 + 8 + 8 + 4;
 
-uint64_t RoundUpTo(uint64_t v, uint64_t align) { return (v + align - 1) / align * align; }
+// A segment's parity descriptor as base and delta frames carry it.
+void PutParity(Encoder* enc, const SegmentParity& p) {
+  enc->PutU8(p.has ? 1 : 0);
+  enc->PutU32(p.offset);
+  enc->PutU32(p.bytes);
+  enc->PutU32(p.covered);
+  enc->PutU32(p.crc);
+}
+
+SegmentParity GetParity(Decoder* dec) {
+  SegmentParity p;
+  p.has = dec->GetU8() != 0;
+  p.offset = dec->GetU32();
+  p.bytes = dec->GetU32();
+  p.covered = dec->GetU32();
+  p.crc = dec->GetU32();
+  return p;
+}
 
 struct SlotMarker {
   bool valid = false;
@@ -111,7 +128,7 @@ std::vector<uint8_t> BuildFrame(uint8_t kind, uint64_t generation, uint32_t chai
                                 uint64_t covered_seq, std::span<const uint8_t> body,
                                 uint32_t sector) {
   std::vector<uint8_t> frame;
-  frame.reserve(RoundUpTo(kFrameHeaderBytes + body.size() + 4, sector));
+  frame.reserve(RoundUp(kFrameHeaderBytes + body.size() + 4, sector));
   Encoder enc(&frame);
   enc.PutU32(kFrameMagic);
   enc.PutU8(kind);
@@ -122,7 +139,7 @@ std::vector<uint8_t> BuildFrame(uint8_t kind, uint64_t generation, uint32_t chai
   enc.PutU32(Crc32(frame));  // Header CRC over everything before it.
   enc.PutBytes(body);
   enc.PutU32(Crc32(body));
-  frame.resize(RoundUpTo(frame.size(), sector), 0);
+  frame.resize(RoundUp(frame.size(), sector), 0);
   return frame;
 }
 
@@ -152,7 +169,7 @@ struct LogStructuredDisk::LoadedChain {
   struct ChainSegment {
     uint32_t index = 0;
     uint64_t seq = 0;
-    SegmentUsage parity;  // Only the parity fields are meaningful.
+    SegmentParity parity;
     std::vector<SummaryRecord> records;
   };
   // Delta operations in frame order; within a frame, seals precede retires.
@@ -234,7 +251,7 @@ void LogStructuredDisk::InstallAllocationWindow(const std::vector<uint32_t>& win
 // ---- Frame capture ----------------------------------------------------------
 
 void LogStructuredDisk::CaptureFrameSegment(uint32_t segment, uint64_t seq,
-                                            const SegmentUsage& parity,
+                                            const SegmentParity& parity,
                                             const std::vector<SummaryRecord>& records) {
   if (!CheckpointingActive()) {
     return;
@@ -323,11 +340,7 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
     enc.PutU32(u.live_bytes());
     enc.PutU64(u.newest_ts);
     enc.PutU64(u.seq);
-    enc.PutU8(u.has_parity ? 1 : 0);
-    enc.PutU32(u.parity_offset);
-    enc.PutU32(u.parity_bytes);
-    enc.PutU32(u.parity_covered);
-    enc.PutU32(u.parity_crc);
+    PutParity(&enc, u.parity);
   }
 
   // Stripe sets, appended only when any exist: a stripe-less volume's base
@@ -413,11 +426,7 @@ Status LogStructuredDisk::DecodeBasePayload(std::span<const uint8_t> payload) {
     usage_->SetLive(s, dec.GetU32());
     u.newest_ts = dec.GetU64();
     u.seq = dec.GetU64();
-    u.has_parity = dec.GetU8() != 0;
-    u.parity_offset = dec.GetU32();
-    u.parity_bytes = dec.GetU32();
-    u.parity_covered = dec.GetU32();
-    u.parity_crc = dec.GetU32();
+    u.parity = GetParity(&dec);
     // A scratch segment cannot survive a base frame (bases flush full), and
     // a mid-clean segment still holds its data.
     if (u.state == SegmentState::kScratch) {
@@ -578,11 +587,7 @@ Status LogStructuredDisk::MaybeWriteDeltaFrame(bool force) {
   for (const PendingFrameSegment& p : ckpt_pending_) {
     enc.PutU32(p.segment);
     enc.PutU64(p.seq);
-    enc.PutU8(p.parity.has_parity ? 1 : 0);
-    enc.PutU32(p.parity.parity_offset);
-    enc.PutU32(p.parity.parity_bytes);
-    enc.PutU32(p.parity.parity_covered);
-    enc.PutU32(p.parity.parity_crc);
+    PutParity(&enc, p.parity);
     enc.PutU32(static_cast<uint32_t>(p.records.size()));
     for (const SummaryRecord& r : p.records) {
       r.EncodeTo(&enc);
@@ -750,7 +755,7 @@ Status LogStructuredDisk::LoadCheckpointChain(LoadedChain* chain) {
             kind != (i == 0 ? kFrameBase : kFrameDelta)) {
           break;
         }
-        const uint64_t total = RoundUpTo(kFrameHeaderBytes + body_len + 4, sector);
+        const uint64_t total = RoundUp(kFrameHeaderBytes + body_len + 4, sector);
         if (body_len > capacity || offset + total > capacity ||
             offset + total > cand.marker.payload_bytes) {
           break;
@@ -800,11 +805,7 @@ Status LogStructuredDisk::LoadCheckpointChain(LoadedChain* chain) {
             LoadedChain::ChainSegment cs;
             cs.index = dec.GetU32();
             cs.seq = dec.GetU64();
-            cs.parity.has_parity = dec.GetU8() != 0;
-            cs.parity.parity_offset = dec.GetU32();
-            cs.parity.parity_bytes = dec.GetU32();
-            cs.parity.parity_covered = dec.GetU32();
-            cs.parity.parity_crc = dec.GetU32();
+            cs.parity = GetParity(&dec);
             const uint32_t record_count = dec.GetU32();
             if (!dec.ok() || cs.index >= num_segments ||
                 record_count > options_.summary_bytes + data_capacity_) {
@@ -950,11 +951,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   // ---- Seed from the chain (or from zero) ----
   std::vector<uint64_t> segment_seqs(num_segments, 0);
   std::vector<bool> has_summary(num_segments, false);
-  struct ParityInfo {
-    bool has = false;
-    uint32_t offset = 0, bytes = 0, covered = 0, crc = 0;
-  };
-  std::vector<ParityInfo> parity(num_segments);
+  std::vector<SegmentParity> parity(num_segments);
 
   bool have_chain = chain != nullptr;
   if (have_chain) {
@@ -993,9 +990,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       if (u.state == SegmentState::kFull) {
         has_summary[s] = true;
         segment_seqs[s] = u.seq;
-        if (u.has_parity) {
-          parity[s] = {true, u.parity_offset, u.parity_bytes, u.parity_covered, u.parity_crc};
-        }
+        parity[s] = u.parity;
       }
     }
     for (const LoadedChain::ChainOp& op : chain->ops) {
@@ -1003,16 +998,14 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
         if (op.retired_segment < num_segments) {
           has_summary[op.retired_segment] = false;
           segment_seqs[op.retired_segment] = 0;
-          parity[op.retired_segment] = ParityInfo{};
+          parity[op.retired_segment] = {};
         }
         continue;
       }
       const LoadedChain::ChainSegment& cs = op.seg;
       has_summary[cs.index] = true;
       segment_seqs[cs.index] = cs.seq;
-      parity[cs.index] = {cs.parity.has_parity, cs.parity.parity_offset,
-                          cs.parity.parity_bytes, cs.parity.parity_covered,
-                          cs.parity.parity_crc};
+      parity[cs.index] = cs.parity;
       replay.push_back({cs.index, cs.seq, cs.records});
     }
   } else {
@@ -1060,14 +1053,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
     SegmentSummary read;
     const Status s = ReadSegmentSummary(seg, summary, &read);
     if (s.code() == ErrorCode::kNotFound) {
-      // No magic. An untouched (or scrub-retired) summary region is all
-      // zeros; any other content means the magic itself was damaged.
-      const bool all_zero =
-          std::all_of(summary.begin(), summary.end(), [](uint8_t b) { return b == 0; });
-      if (!all_zero) {
-        suspects.push_back({seg, false, 0, false});
-      }
-      return OkStatus();  // Never written.
+      return OkStatus();  // All zeros: never written, or scrub-retired.
     }
     if (!s.ok()) {
       if (s.code() != ErrorCode::kIoError && s.code() != ErrorCode::kCorruption) {
@@ -1500,12 +1486,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           break;
         case SummaryRecordType::kSegmentParity: {
           if (has_summary[seg.index]) {
-            ParityInfo& p = parity[seg.index];
-            p.has = true;
-            p.offset = r.offset;
-            p.bytes = r.stored_size;
-            p.covered = r.orig_size;
-            p.crc = r.payload_crc;
+            parity[seg.index] = {true, r.offset, r.stored_size, r.orig_size, r.payload_crc};
           }
           break;
         }
@@ -1541,12 +1522,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   RebuildDerivedState(segment_seqs, has_summary);
   for (uint32_t s = 0; s < num_segments; ++s) {
     if (parity[s].has && has_summary[s]) {
-      SegmentUsage& u = usage_->segment(s);
-      u.has_parity = true;
-      u.parity_offset = parity[s].offset;
-      u.parity_bytes = parity[s].bytes;
-      u.parity_covered = parity[s].covered;
-      u.parity_crc = parity[s].crc;
+      usage_->segment(s).parity = parity[s];
     }
   }
 

@@ -31,17 +31,6 @@
 
 namespace ld {
 
-namespace {
-
-// Fixed bytes of a serialized summary besides the records: header + CRC.
-constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
-
-uint64_t RoundUp(uint64_t value, uint64_t multiple) {
-  return (value + multiple - 1) / multiple * multiple;
-}
-
-}  // namespace
-
 uint32_t LogStructuredDisk::SegmentChannel(uint32_t segment) const {
   return device_->ChannelOf(SegmentBaseByte(segment) / device_->sector_size());
 }
@@ -183,7 +172,7 @@ Status LogStructuredDisk::CommitStripe(StripeSet set, const std::vector<uint8_t>
   seg.newest_ts = 0;
   seg.age_ts = 0;
   seg.cold = false;
-  seg.ClearParity();
+  seg.parity = {};
   counters_.stripes_formed++;
   // Queue the duplicate declaration for the next seal (see
   // redeclare_groups_): the set must stay discoverable when the carrier's

@@ -11,6 +11,7 @@
 #ifndef SRC_LLD_SUMMARY_RECORD_H_
 #define SRC_LLD_SUMMARY_RECORD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -142,6 +143,10 @@ struct SummaryHeader {
 
   static constexpr size_t kEncodedSize = 4 + 8 + 4 + 4 + 4 + 4 + 4;  // + crc
 };
+
+// Summary-tail bytes a seal keeps free besides the records: the header and
+// its CRC, plus 16 bytes of slack.
+inline constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
 
 // Serializes header + records. The record stream fills `tail` (the fixed
 // summary region) first; overflow goes into `ext` (the end of the data

@@ -23,6 +23,17 @@ enum class SegmentState : uint8_t {
   kParity,      // Holds a stripe-set parity image: not a victim, not free.
 };
 
+// Where a sealed segment's parity block sits and what it covers: the
+// payload of its kSegmentParity record. `has` is false for a segment sealed
+// without one (segment_parity off, no data, or a partial image).
+struct SegmentParity {
+  bool has = false;
+  uint32_t offset = 0;   // Byte offset of the parity block in the segment.
+  uint32_t bytes = 0;    // Parity length (the XOR lane period).
+  uint32_t covered = 0;  // Data-area bytes the parity covers: [0, covered).
+  uint32_t crc = 0;      // 24-bit CRC of the parity bytes themselves.
+};
+
 class SegmentUsage {
  public:
   // Live bytes in the segment. Only UsageTable writes the count, so it can
@@ -68,20 +79,10 @@ class SegmentUsage {
   // recovery rolling back to a copy that no longer exists.
   uint32_t aru_pins = 0;
 
-  // Parity-block geometry for the segment, mirrored from its kSegmentParity
+  // Parity-block geometry, mirrored from the segment's kSegmentParity
   // summary record (and rebuilt from the summaries during recovery) so the
-  // read path can reconstruct without re-reading the summary. has_parity is
-  // false for segments written with segment_parity off.
-  bool has_parity = false;
-  uint32_t parity_offset = 0;   // Byte offset of the parity block in the segment.
-  uint32_t parity_bytes = 0;    // Parity length (the XOR lane period).
-  uint32_t parity_covered = 0;  // Data-area bytes the parity covers: [0, covered).
-  uint32_t parity_crc = 0;      // 24-bit CRC of the parity bytes themselves.
-
-  void ClearParity() {
-    has_parity = false;
-    parity_offset = parity_bytes = parity_covered = parity_crc = 0;
-  }
+  // read path can reconstruct without re-reading the summary.
+  SegmentParity parity;
 };
 
 class UsageTable {
@@ -119,7 +120,7 @@ class UsageTable {
     s.newest_ts = 0;
     s.age_ts = 0;
     s.cold = false;
-    s.ClearParity();
+    s.parity = {};
   }
 
   uint32_t FreeCount() const;

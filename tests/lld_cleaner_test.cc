@@ -641,6 +641,60 @@ TEST(LldCleanerTest, CompressedListCleanMatchesGoldenDigest) {
   }
 }
 
+// The seal paths the two pins above never reach: a Flush() cadence below
+// the partial-segment threshold (each Flush writes a scratch segment and the
+// next one supersedes it) and incremental checkpoints every two seals (each
+// seal is captured for a delta frame). Skewed overwrites keep the cleaner
+// running under both.
+TEST(LldCleanerTest, PartialAndCheckpointedSealsMatchGoldenDigest) {
+  struct Case {
+    const char* name;
+    uint32_t flush_every;  // 0 = no Flush() until the end.
+    uint32_t checkpoint_interval;
+    bool parity;
+    uint32_t digest;
+  };
+  const Case cases[] = {
+      {"partial flushes", 5, 0, false, 0x2c65cd3eu},
+      {"partial flushes, parity", 5, 0, true, 0x943f977fu},
+      {"checkpoint every 2 seals", 0, 2, false, 0xa9d8f4bfu},
+      {"checkpoint every 2 seals, partial flushes, parity", 5, 2, true, 0x76da8e72u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LldOptions options = TestOptions();
+    options.segment_parity = c.parity;
+    options.checkpoint_interval_segments = c.checkpoint_interval;
+    Rig rig(options);
+    std::vector<Bid> bids;
+    Bid pred = kBeginOfList;
+    for (uint32_t i = 0; i < 1200; ++i) {
+      pred = *rig.lld->NewBlock(rig.list, pred);
+      ASSERT_TRUE(rig.lld->Write(pred, Pattern(4096, i)).ok());
+      bids.push_back(pred);
+    }
+    Rng rng(23);
+    for (uint32_t w = 0; w < 5000; ++w) {
+      // Nine writes in ten go to the first tenth of the blocks.
+      const uint64_t range = rng.Below(10) == 0 ? bids.size() : bids.size() / 10;
+      ASSERT_TRUE(rig.lld->Write(bids[rng.Below(range)], Pattern(4096, 5000 + w)).ok());
+      if (c.flush_every > 0 && w % c.flush_every == c.flush_every - 1) {
+        ASSERT_TRUE(rig.lld->Flush().ok());
+      }
+    }
+    ASSERT_TRUE(rig.lld->Flush().ok());
+    ASSERT_GT(rig.lld->counters().segments_cleaned, 0u);
+    if (c.flush_every > 0) {
+      ASSERT_GT(rig.lld->counters().partial_segments_written, 0u);
+    }
+    if (c.checkpoint_interval > 0) {
+      ASSERT_GT(rig.lld->counters().checkpoint_frames_written, 0u);
+    }
+    const uint32_t digest = DeviceDigest(rig);
+    EXPECT_EQ(digest, c.digest) << std::hex << "digest 0x" << digest;
+  }
+}
+
 // Cleaner output forms the cold generation: segments it writes are tagged
 // cold and keep the *original* write ages of the blocks they carry, so data
 // that already survived one pass keeps scoring as an old, cheap victim
@@ -762,6 +816,49 @@ TEST(LldCleanerTest, VictimSummaryWithOutOfRangeExtBytesIsTypedCorruption) {
   for (uint32_t i = 0; i < bids.size(); ++i) {
     ASSERT_TRUE(rig.lld->Read(bids[i], out).ok()) << i;
     EXPECT_EQ(out, Pattern(4096, i));
+  }
+}
+
+// A victim whose summary fails its CRC aborts the round. The victims
+// harvested before it go back to kFull with it: none may stay in kCleaning,
+// where neither the cleaner nor the allocator would pick it again.
+TEST(LldCleanerTest, FailedHarvestLeavesNoVictimInCleaning) {
+  Rig rig;
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 300; ++i) {
+    pred = *rig.lld->NewBlock(rig.list, pred);
+    ASSERT_TRUE(rig.lld->Write(pred, Pattern(4096, i)).ok());
+    bids.push_back(pred);
+  }
+  for (uint32_t i = 0; i < bids.size(); i += 3) {
+    ASSERT_TRUE(rig.lld->Write(bids[i], Pattern(4096, 1000 + i)).ok());
+  }
+  ASSERT_TRUE(rig.lld->Flush().ok());
+  // Greedy harvests the emptier segments first, so the fullest one fails
+  // after earlier victims of the round were harvested.
+  uint32_t fullest = 0;
+  for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+    const SegmentUsage& u = rig.lld->usage_table().segment(s);
+    if (u.state == SegmentState::kFull &&
+        u.live_bytes() > rig.lld->usage_table().segment(fullest).live_bytes()) {
+      fullest = s;
+    }
+  }
+  // A bit inside the first record: the summary no longer matches its CRC.
+  ASSERT_TRUE(
+      rig.disk->CorruptSector(rig.lld->SegmentSummaryStartByte(fullest) / 512, 40, 0x01).ok());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(rig.lld->CleanSegments(rig.lld->num_segments()).code(), ErrorCode::kCorruption);
+    for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+      EXPECT_NE(rig.lld->usage_table().segment(s).state, SegmentState::kCleaning) << s;
+    }
+  }
+  std::vector<uint8_t> out(4096);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE(rig.lld->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, i % 3 == 0 ? 1000 + i : i)) << i;
   }
 }
 

@@ -385,7 +385,7 @@ TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {
   ASSERT_NE(a, kNilBid) << "no adjacent block pair in a full segment";
   const uint32_t seg = lld->block_map().entry(a).phys.segment;
   // The lane period the layout math promises: RoundUp(4096, 512) + 512.
-  ASSERT_EQ(lld->usage_table().segment(seg).parity_bytes, 4608u);
+  ASSERT_EQ(lld->usage_table().segment(seg).parity.bytes, 4608u);
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), a), 0, 0x40).ok());
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), b) + 1, 0, 0x40).ok());
 
@@ -416,12 +416,12 @@ TEST(LldScrubTest, RottedParityBlockFallsBackToTypedReport) {
 
   const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
   const uint32_t seg = lld->block_map().entry(victim).phys.segment;
-  const SegmentUsage& u = lld->usage_table().segment(seg);
-  ASSERT_TRUE(u.has_parity);
+  const SegmentParity& u = lld->usage_table().segment(seg).parity;
+  ASSERT_TRUE(u.has);
   // Rot the parity block itself, then a data block: the reconstruction
   // refuses the damaged parity (its own CRC fails) and scrub degrades to
   // the redundancy-free behaviour — report, never launder.
-  const uint64_t parity_sector = (lld->SegmentStartByte(seg) + u.parity_offset) / kSectorSize;
+  const uint64_t parity_sector = (lld->SegmentStartByte(seg) + u.offset) / kSectorSize;
   ASSERT_TRUE(rig.disk->CorruptSector(parity_sector, 3, 0x80).ok());
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), victim), 5, 0x01).ok());
 
@@ -586,9 +586,10 @@ TEST(LldScrubTest, SpilledSummaryDamageGetsOneVerdictFromEveryReader) {
     ErrorCode open;
   };
   const Row rows[] = {
-      // The cleaner reads a summary without magic as a never-written
-      // segment and harvests nothing from it.
-      {SummaryDamage::kZeroedMagic, "zeroed magic", ErrorCode::kOk, ErrorCode::kCorruption},
+      // Only an all-zero summary reads as never written: a missing magic
+      // over other bytes is damage, and the cleaner refuses the victim.
+      {SummaryDamage::kZeroedMagic, "zeroed magic", ErrorCode::kCorruption,
+       ErrorCode::kCorruption},
       {SummaryDamage::kExtBytesOutOfRange, "ext_bytes out of range", ErrorCode::kCorruption,
        ErrorCode::kCorruption},
       {SummaryDamage::kForeignSegmentIndex, "foreign segment_index", ErrorCode::kCorruption,
